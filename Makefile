@@ -1,7 +1,7 @@
 # Local verification targets, kept in lock-step with .github/workflows/ci.yml
 # so "make <target>" locally reproduces exactly what CI gates on.
 
-.PHONY: all build test lint fmt bench-smoke perf-smoke arch-gate profile-smoke perf-full proptest-deep serve-smoke chaos clean
+.PHONY: all build test lint fmt bench-smoke perf-smoke bench bench-repeat arch-gate profile-smoke perf-full proptest-deep serve-smoke chaos clean
 
 all: build test lint bench-smoke perf-smoke profile-smoke serve-smoke chaos
 
@@ -48,6 +48,21 @@ perf-smoke:
 	cargo run --release --locked -p dmt-bench --bin bench_hotpath -- \
 		--json artifacts/BENCH_hotpath.json
 	python3 ci/overhead_gate.py artifacts/BENCH_hotpath.json
+
+# CI step (non-gating): bench — the repo benchmark declared by
+# BENCHMARK.json, the instrument for performance claims: five workloads,
+# each timed end to end and then traced per layer; every metric printed
+# by name and the run record written to benchmark/out/report.json (see
+# benchmark/README.md). BENCH is BENCHMARK.json's own command line.
+# bench-repeat runs everything twice, interleaved, and exits non-zero
+# when a gap between the two exceeds its bound or a sim.* metric differs.
+# Neither is part of `all`: minutes of wall time, host-dependent.
+BENCH = cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml --
+bench:
+	$(BENCH) --all
+
+bench-repeat:
+	$(BENCH) --repeat 2
 
 # CI step: arch-gate — fresh hotpath measurement, then the per-arch
 # throughput gate: MT-CGRA sim-cycles/sec must stay within 5% of the
@@ -98,10 +113,11 @@ serve-smoke:
 # CI job: chaos-smoke — the built binaries under a fixed adversarial
 # fault schedule: cache write/rename faults absorbed and replayed
 # byte-identically, deadlines typed as timed_out, one pool.exec fault
-# costs exactly one job, and the daemon survives a poisoned response
-# plus a per-job deadline and still drains clean. The in-process chaos
-# invariants live in tests/chaos.rs (part of `make test`); this drives
-# the same seams over argv and TCP.
+# costs exactly one job, and the daemon survives a poisoned response,
+# a per-job deadline and hostile clients (raw bytes, 100k-deep nesting,
+# an oversize and an endless line) and still drains clean. The
+# in-process chaos invariants live in tests/chaos.rs (part of
+# `make test`); this drives the same seams over argv and TCP.
 chaos:
 	cargo build --release --locked -p dmt-bench -p dmt-serve
 	python3 ci/chaos_smoke.py \

@@ -17,6 +17,11 @@ end to end:
    `serve.request` fault armed, a client that retries the one poisoned
    response still completes a normal job, a per-job deadline comes back
    "timed_out" without retry, and drain exits 0.
+5. Hostile bytes are bounded: a client sending raw non-UTF-8 bytes, one
+   sending brackets nested far past the parser's depth limit, and one
+   sending a line longer than the daemon's 1 MiB bound (first exactly
+   one byte over, then without ever stopping) each get an error answer
+   or a closed connection — and the daemon keeps serving.
 
 Artifacts land in --out. Stdlib only.
 """
@@ -31,6 +36,7 @@ import sys
 import time
 
 SMOKE_JOBS = 9  # first three Table 3 benchmarks x three machines
+MAX_REQUEST_LINE = 1 << 20  # dmt_serve::server::MAX_REQUEST_LINE
 
 
 def run(binary, argv, out):
@@ -174,6 +180,67 @@ class Client:
         raise RuntimeError("fault kept firing; Nth triggers fire once")
 
 
+def raw_exchange(addr, payload):
+    """Sends raw bytes on a fresh connection; returns (first response
+    line decoded as JSON or None, whether the daemon then closed)."""
+    with socket.create_connection(addr, timeout=120) as sock:
+        sock.sendall(payload)
+        rfile = sock.makefile("rb")
+        line = rfile.readline()
+        resp = json.loads(line) if line else None
+        sock.settimeout(0.5)
+        try:
+            closed = rfile.read(1) == b""
+        except OSError:
+            closed = False
+        return resp, closed
+
+
+def hostile_clients(addr):
+    """Scenario 5: byte-level abuse from throwaway connections."""
+    resp, closed = raw_exchange(addr, b'{"verb":\xff\xfe\x00}\n')
+    check(
+        resp == {"ok": False, "error": "request is not valid UTF-8"},
+        "raw non-UTF-8 bytes get a typed error",
+    )
+    check(not closed, "the raw-bytes connection stays open")
+
+    resp, closed = raw_exchange(addr, b"[" * 100_000 + b"\n")
+    check(
+        resp is not None
+        and resp.get("ok") is False
+        and "nesting deeper than 128" in resp.get("error", ""),
+        "100k nested brackets hit the parser's depth limit, not the stack",
+    )
+    check(not closed, "the deep-nesting connection stays open")
+
+    # Exactly one byte over the bound: the daemon has read everything
+    # that was sent, so its close is clean and the answer arrives.
+    resp, closed = raw_exchange(addr, b"x" * (MAX_REQUEST_LINE + 1))
+    check(
+        resp == {"ok": False, "error": "request line too long"},
+        "an oversize line is answered from the bounded buffer",
+    )
+    check(closed, "the oversize-line connection is recycled")
+
+    # An endless line: keep writing until the daemon hangs up. The answer
+    # may be lost to the reset; the bound on the daemon's side is the
+    # point. 64 MiB is far past anything it could be buffering.
+    sent = 0
+    chunk = b"y" * (1 << 16)
+    with socket.create_connection(addr, timeout=120) as sock:
+        try:
+            while sent < (64 << 20):
+                sock.sendall(chunk)
+                sent += len(chunk)
+        except OSError:
+            pass
+    check(
+        MAX_REQUEST_LINE < sent < (64 << 20),
+        f"an endless line is cut off ({sent >> 20} MiB accepted by the socket)",
+    )
+
+
 def free_port():
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
@@ -251,9 +318,15 @@ def serve_scenario(serve_bin, out):
             "exactly one response was poisoned and the client retried through it",
         )
 
+        hostile_clients(addr)
+
         metrics = client.req({"verb": "metrics"})
         check(metrics["jobs"]["timed_out"] == 1, "metrics count the timeout")
         check(metrics["jobs"]["done"] == 1, "metrics count the completion")
+        check(
+            metrics["requests"]["bad"] == 4,
+            "metrics count the four refused lines as bad requests",
+        )
 
         drain = client.req({"verb": "drain"})
         check(drain.get("ok") is True, "drain accepted")

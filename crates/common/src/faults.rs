@@ -328,10 +328,14 @@ pub fn init_from_env() -> std::result::Result<bool, String> {
     }
 }
 
-/// Serializes tests that install fault plans: the registry is process
+/// Serializes tests that touch the fault registry: it is process
 /// global, so concurrent `#[test]`s would otherwise race each other's
 /// schedules. Holds an exclusive lock for the guard's lifetime and
-/// uninstalls on drop.
+/// uninstalls on drop. The lock only excludes other guard holders, so
+/// it is not enough for the tests that *arm* a plan to take it: a test
+/// that merely passes through a fault site (stores to a cache, runs a
+/// plan) while another test's plan is armed takes that plan's faults.
+/// Such tests hold [`quiet_guarded`] for their whole body.
 pub struct FaultGuard {
     _lock: MutexGuard<'static, ()>,
 }
@@ -351,6 +355,14 @@ pub fn install_guarded(plan: FaultPlan) -> FaultGuard {
         .unwrap_or_else(PoisonError::into_inner);
     install(plan);
     FaultGuard { _lock: lock }
+}
+
+/// Takes the global test lock with no fault armed — for tests that pass
+/// through fault sites without injecting anything; see [`FaultGuard`].
+/// A test that injects in phases holds this and re-arms with
+/// [`install`] under it (each `install` starts hit counters afresh).
+pub fn quiet_guarded() -> FaultGuard {
+    install_guarded(FaultPlan::empty())
 }
 
 #[cfg(test)]

@@ -9,8 +9,24 @@
 //! cycle engines) can emit and consume the same documents;
 //! `dmt_runner::artifact::Json` re-exports it, so the rendered bytes of
 //! every existing artifact are unchanged.
+//!
+//! # Parser cost and limits
+//!
+//! [`Json::parse`] is linear in the input: it takes a `&str`, so the
+//! bytes are already valid UTF-8, and every string body is consumed as
+//! whole runs between escapes (one slice copy per run, nothing
+//! re-validated per character). A cache hit therefore costs its entry's
+//! bytes once. The parser is a recursive descent, so nesting is bounded
+//! by [`MAX_DEPTH`] containers; a deeper document is an `Err` naming the
+//! byte offset, never a stack overflow. Both are properties of the
+//! parser, not options.
 
 use std::fmt::Write as _;
+
+/// The deepest container nesting [`Json::parse`] accepts (objects and
+/// arrays both count). The writer's own documents nest less than ten
+/// deep; the bound exists so hostile input costs an error, not the stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON document: the minimal value model the artifact writer needs.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,12 +194,15 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message with a byte offset for malformed input —
-    /// callers (the result cache) treat any error as a miss.
+    /// Returns a message with a byte offset for malformed input or for
+    /// containers nested deeper than [`MAX_DEPTH`] — callers (the result
+    /// cache) treat any error as a miss.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -244,10 +263,14 @@ impl Json {
 }
 
 /// Recursive-descent parser over the raw bytes (JSON structure is ASCII;
-/// string contents pass through as UTF-8).
+/// string contents pass through as slices of the already-valid `text`).
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -285,8 +308,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.container(Parser::object),
+            Some(b'[') => self.container(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
@@ -294,6 +317,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("expected a value at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one object or array, one level deeper; the recursion this
+    /// bounds is `value → container → object|array → value`.
+    fn container(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self)?;
+        self.depth -= 1;
+        Ok(v)
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -351,40 +389,45 @@ impl Parser<'_> {
         let start = self.pos;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(format!("unterminated string at byte {start}")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+            // One run of ordinary characters, up to the next quote or
+            // backslash. Both delimiters are ASCII, so the run starts and
+            // ends on character boundaries of the already-valid `text`.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| format!("unterminated string at byte {start}"))?;
+            let chunk = &self.text[self.pos..self.pos + run];
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                if out.is_empty() {
+                    // No escape seen: the string is this one slice.
+                    return Ok(chunk.to_owned());
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| format!("unterminated escape at byte {}", self.pos))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => out.push(self.unicode_escape()?),
-                        _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (structure bytes are ASCII,
-                    // so multi-byte sequences only occur inside strings).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                out.push_str(chunk);
+                return Ok(out);
+            }
+            // An escape follows, so the string needs a buffer of its own:
+            // this run plus some slack, and a string with a few escapes
+            // grows once.
+            out.reserve(chunk.len() + 16);
+            out.push_str(chunk);
+            self.pos += 1;
+            let esc = self
+                .peek()
+                .ok_or_else(|| format!("unterminated escape at byte {}", self.pos))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => out.push(self.unicode_escape()?),
+                _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
             }
         }
     }
@@ -436,7 +479,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
+        let text = &self.text[start..self.pos];
         if float || text.starts_with('-') {
             text.parse::<f64>()
                 .map(Json::F64)
@@ -625,6 +668,85 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn malformed_strings_keep_their_messages_and_offsets() {
+        // Byte-for-byte what the per-character parser reported: the run
+        // scanner may not move an offset or reword an error.
+        for (bad, want) in [
+            ("\"unterminated", "unterminated string at byte 1"),
+            ("[1, \"né", "unterminated string at byte 5"),
+            ("\"a\\nb", "unterminated string at byte 1"),
+            ("\"tail\\", "unterminated escape at byte 6"),
+            ("\"bad \\q escape\"", "bad escape at byte 6"),
+            ("\"é\\x\"", "bad escape at byte 4"),
+            ("\"\\u12", "truncated \\u escape at byte 3"),
+            ("\"\\u123é\"", "truncated \\u escape at byte 3"),
+            ("\"\\u12é\"", "bad \\u escape at byte 3"),
+            ("\"\\u12zz\"", "bad \\u escape at byte 3"),
+            ("\"\\ud800 lone\"", "unpaired surrogate before byte 7"),
+            ("\"\\ud800\\u0041\"", "unpaired surrogate before byte 13"),
+            ("\"\\udc00\"", "invalid scalar before byte 7"),
+            ("{\"k\" 1}", "expected ':' at byte 5"),
+            ("{\"a\":1} trailing", "trailing content at byte 8"),
+        ] {
+            assert_eq!(Json::parse(bad).unwrap_err(), want, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn strings_pass_raw_control_and_multibyte_characters_through() {
+        // Neither parser validates the characters between escapes, so a
+        // raw tab or newline inside a string is accepted as itself.
+        let v = Json::parse("\"a\tb\nc\u{1}é€\u{1f600}\\u0041z\"").unwrap();
+        assert_eq!(v.as_str(), Some("a\tb\nc\u{1}é€\u{1f600}Az"));
+        assert_eq!(Json::parse("\"\"").unwrap(), Json::Str(String::new()));
+        assert_eq!(Json::parse("\"\\n\"").unwrap().as_str(), Some("\n"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_an_offset_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err(),
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        // Objects count against the same bound, and closing a container
+        // gives its level back: siblings do not accumulate.
+        let mixed = "{\"k\":".repeat(MAX_DEPTH) + "[]" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&mixed)
+            .unwrap_err()
+            .starts_with("nesting deeper"));
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 4].join(","));
+        assert!(Json::parse(&wide).is_ok());
+        // The hostile case: unclosed brackets far past any stack.
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+    }
+
+    #[test]
+    fn parse_time_is_linear_in_one_long_string() {
+        // 2 MB, nearly all of it one string with an escape every 64
+        // characters and multi-byte text throughout. Re-validating the
+        // tail of the document per character (the parser this replaced)
+        // needs minutes here; one pass needs milliseconds, so the bound
+        // has a 100x margin against a slow host.
+        let unit = "0123456789abcdef".repeat(3) + "éé€€€€" + "\\n";
+        let body = unit.repeat(2_000_000 / unit.len());
+        let text = format!("{{\"k\": \"{body}\", \"n\": 1}}");
+        assert!(text.len() >= 1_900_000);
+        let start = std::time::Instant::now();
+        let doc = Json::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        let s = doc.get("k").unwrap().as_str().unwrap();
+        assert_eq!(s.len(), body.len() - body.matches("\\n").count());
+        assert!(s.ends_with("€€\n"));
+        assert!(elapsed.as_secs() < 5, "2 MB took {elapsed:?}");
     }
 
     #[test]

@@ -26,8 +26,12 @@
 //!   briefly keep a stale tid's partial set alive past its retirement).
 //!   Each node's store is therefore a power-of-two ring of slots indexed
 //!   `tid & mask`, each slot tagged with the owning tid; the ring is
-//!   sized to `min(window, threads) + 2·Σ|shift|` so distinct live tids
-//!   map to distinct slots. A tid whose slot is held by another live tid
+//!   sized to `min(window + 2·Σ|shift|, threads)` so distinct live tids
+//!   map to distinct slots (the cap is exact, not a heuristic: every tid
+//!   is below `threads`, so a ring with at least `threads` slots cannot
+//!   alias whatever the re-tag distance — a 2048-thread launch needs
+//!   2048 slots, not the 4096 the uncapped sum rounds up to). A tid
+//!   whose slot is held by another live tid
 //!   — possible only if that bound is ever exceeded — falls back to a
 //!   per-node spill map, preserving exact tagged-token semantics in all
 //!   cases; the ring is an optimization, never a correctness assumption.
@@ -829,7 +833,8 @@ impl<'a> PhaseExec<'a> {
         // elevator/eLDST chain can hold a stale tid's state alive while
         // threads up to Σ|shift| further on retire. 2Σ covers a chain's
         // worth of slack on both sides; the spill map covers anything
-        // beyond (see the module docs).
+        // beyond (see the module docs). Tids are all below `threads`, so
+        // a ring that large never aliases and the bound is capped there.
         let shift_sum: u64 = phase
             .graph
             .node_ids()
@@ -840,7 +845,9 @@ impl<'a> PhaseExec<'a> {
                 _ => 0,
             })
             .sum();
-        let live_bound = u64::from(cfg.fabric.inflight_threads.min(threads).max(1)) + 2 * shift_sum;
+        let live_bound = (u64::from(cfg.fabric.inflight_threads) + 2 * shift_sum)
+            .min(u64::from(threads))
+            .max(1);
         let ring_size = live_bound.next_power_of_two().min(1 << 20) as usize;
         let lat = &cfg.latencies;
         let meta: Vec<FireMeta> = phase

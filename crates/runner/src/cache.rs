@@ -355,7 +355,7 @@ impl Cache {
 
 /// A `(bench, arch) → max observed cycles` table, the pool's job-cost
 /// estimator.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CostIndex {
     by_point: HashMap<(String, String), u64>,
 }
@@ -562,6 +562,7 @@ pub fn energy_from_json(j: &Json) -> Option<EnergyReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmt_common::faults::{self, quiet_guarded, FaultPlan};
     use dmt_core::{Arch, SystemConfig};
     use std::sync::atomic::AtomicUsize;
 
@@ -599,6 +600,7 @@ mod tests {
 
     #[test]
     fn store_then_lookup_round_trips_both_outcome_kinds() {
+        let _guard = quiet_guarded();
         let cache = Cache::open(tmp_dir("roundtrip")).unwrap();
         let ok_spec = spec("scan", Arch::DmtCgra, 1);
         let inf_spec = spec("reduce", Arch::DmtCgra, 1);
@@ -626,6 +628,7 @@ mod tests {
 
     #[test]
     fn transient_and_timed_out_outcomes_are_never_persisted() {
+        let _guard = quiet_guarded();
         let cache = Cache::open(tmp_dir("no_persist")).unwrap();
         let s = spec("scan", Arch::DmtCgra, 1);
         cache
@@ -671,32 +674,32 @@ mod tests {
 
     #[test]
     fn injected_cache_faults_fail_reads_and_stores_deterministically() {
-        use dmt_common::faults::{install_guarded, FaultPlan};
+        // One guard for the whole body; each phase re-arms the registry
+        // under it (`install` starts hit counters afresh).
+        let _guard = quiet_guarded();
         let cache = Cache::open(tmp_dir("faults")).unwrap();
         let s = spec("scan", Arch::DmtCgra, 1);
         cache.store(&s, &ok_outcome(7)).unwrap();
 
-        {
-            let _guard = install_guarded(FaultPlan::parse("cache.read:nth=1").unwrap());
-            assert_eq!(cache.lookup(&s), None, "injected read fault is a miss");
-            assert_eq!(cache.lookup(&s), Some(ok_outcome(7)), "only hit 1 fires");
-        }
-        {
-            let _guard = install_guarded(FaultPlan::parse("cache.write:nth=1").unwrap());
-            let err = cache.store(&s, &ok_outcome(8)).unwrap_err();
-            assert!(err.to_string().contains("injected fault: cache.write"));
-        }
-        {
-            let _guard = install_guarded(FaultPlan::parse("cache.rename:nth=1").unwrap());
-            let err = cache.store(&s, &ok_outcome(8)).unwrap_err();
-            assert!(err.to_string().contains("injected fault: cache.rename"));
-            let tmp_leftovers = std::fs::read_dir(cache.dir())
-                .unwrap()
-                .flatten()
-                .filter(|e| e.path().to_string_lossy().contains(".tmp."))
-                .count();
-            assert_eq!(tmp_leftovers, 0, "failed rename cleans its temp file");
-        }
+        faults::install(FaultPlan::parse("cache.read:nth=1").unwrap());
+        assert_eq!(cache.lookup(&s), None, "injected read fault is a miss");
+        assert_eq!(cache.lookup(&s), Some(ok_outcome(7)), "only hit 1 fires");
+
+        faults::install(FaultPlan::parse("cache.write:nth=1").unwrap());
+        let err = cache.store(&s, &ok_outcome(8)).unwrap_err();
+        assert!(err.to_string().contains("injected fault: cache.write"));
+
+        faults::install(FaultPlan::parse("cache.rename:nth=1").unwrap());
+        let err = cache.store(&s, &ok_outcome(8)).unwrap_err();
+        assert!(err.to_string().contains("injected fault: cache.rename"));
+        let tmp_leftovers = std::fs::read_dir(cache.dir())
+            .unwrap()
+            .flatten()
+            .filter(|e| e.path().to_string_lossy().contains(".tmp."))
+            .count();
+        assert_eq!(tmp_leftovers, 0, "failed rename cleans its temp file");
+
+        faults::install(FaultPlan::empty());
         assert_eq!(cache.stats().store_failures, 2);
         // The original entry survived both failed stores.
         assert_eq!(cache.lookup(&s), Some(ok_outcome(7)));
@@ -705,6 +708,7 @@ mod tests {
 
     #[test]
     fn absent_corrupt_and_mismatched_entries_all_miss() {
+        let _guard = quiet_guarded();
         let cache = Cache::open(tmp_dir("defects")).unwrap();
         let s = spec("scan", Arch::DmtCgra, 1);
 
@@ -751,6 +755,7 @@ mod tests {
 
     #[test]
     fn cost_index_keeps_max_cycles_per_point_and_skips_junk() {
+        let _guard = quiet_guarded();
         let cache = Cache::open(tmp_dir("index")).unwrap();
         cache
             .store(&spec("scan", Arch::DmtCgra, 1), &ok_outcome(100))
@@ -801,6 +806,26 @@ mod tests {
         // Equal estimates keep grid order (stable sort).
         idx.record("a", Arch::DmtCgra.key(), 1000);
         assert_eq!(cost_order(&refs, &idx), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn every_prefix_of_an_entry_is_a_miss_never_a_panic() {
+        let s = spec("scan", Arch::DmtCgra, 1);
+        for outcome in [ok_outcome(5), JobOutcome::Infeasible("window \"x\"".into())] {
+            let text = encode_entry(&s, &outcome).render();
+            assert!(text.is_ascii(), "prefixes below slice at any byte");
+            assert_eq!(decode_entry(&text, &s), Some(outcome));
+            // The document's closing brace is the last significant byte:
+            // nothing shorter (bar trailing whitespace) is a valid entry.
+            let body = text.trim_end().len();
+            for cut in 0..body {
+                assert_eq!(
+                    decode_entry(&text[..cut], &s),
+                    None,
+                    "prefix of {cut} bytes"
+                );
+            }
+        }
     }
 
     #[test]

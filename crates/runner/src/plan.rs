@@ -220,6 +220,7 @@ impl<'a> ExecPlan<'a> {
 mod tests {
     use super::*;
     use crate::job::JobMetrics;
+    use dmt_common::faults::{install_guarded, quiet_guarded, FaultPlan};
     use dmt_core::{Arch, SystemConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -242,6 +243,7 @@ mod tests {
 
     #[test]
     fn outcomes_are_index_ordered_for_any_thread_count() {
+        let _guard = quiet_guarded();
         let grid = jobs(9);
         let serial = ExecPlan::new(&grid).run(exec);
         for threads in [2, 3, 8] {
@@ -252,6 +254,7 @@ mod tests {
 
     #[test]
     fn zero_threads_is_clamped_to_serial() {
+        let _guard = quiet_guarded();
         let grid = jobs(3);
         assert_eq!(
             ExecPlan::new(&grid).threads(0).run(exec),
@@ -261,6 +264,7 @@ mod tests {
 
     #[test]
     fn progress_counts_executed_jobs() {
+        let _guard = quiet_guarded();
         let grid = jobs(4);
         let p = Progress::new(false);
         let _ = ExecPlan::new(&grid).progress(Some(&p)).run(exec);
@@ -269,6 +273,7 @@ mod tests {
 
     #[test]
     fn cached_plan_skips_hits_executes_misses_and_persists() {
+        let _guard = quiet_guarded();
         let dir = std::env::temp_dir().join(format!("dmt_plan_cache_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = Cache::open(&dir).unwrap();
@@ -306,6 +311,7 @@ mod tests {
 
     #[test]
     fn progress_ticker_counts_only_misses_on_a_warm_cache() {
+        let _guard = quiet_guarded();
         let dir = std::env::temp_dir().join(format!("dmt_plan_prog_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = Cache::open(&dir).unwrap();
@@ -322,6 +328,7 @@ mod tests {
 
     #[test]
     fn panicking_executor_fails_only_its_job() {
+        let _guard = quiet_guarded();
         let grid = jobs(5);
         for threads in [1, 4] {
             let outcomes = ExecPlan::new(&grid).threads(threads).run(|spec: &JobSpec| {
@@ -344,9 +351,7 @@ mod tests {
 
     #[test]
     fn injected_pool_fault_fails_one_job_deterministically() {
-        let _guard = dmt_common::faults::install_guarded(
-            dmt_common::faults::FaultPlan::parse("pool.exec:nth=2").unwrap(),
-        );
+        let _guard = install_guarded(FaultPlan::parse("pool.exec:nth=2").unwrap());
         let grid = jobs(4);
         let outcomes = ExecPlan::new(&grid).run(exec);
         let failed: Vec<usize> = outcomes
@@ -365,6 +370,7 @@ mod tests {
 
     #[test]
     fn cancelled_plan_fails_jobs_via_the_token() {
+        let _guard = quiet_guarded();
         use std::sync::atomic::Ordering;
         let token = AtomicBool::new(true); // cancelled before it starts
         let grid = jobs(2);
@@ -391,6 +397,7 @@ mod tests {
     #[test]
     fn deprecated_shims_match_the_plan() {
         #![allow(deprecated)]
+        let _guard = quiet_guarded();
         let grid = jobs(5);
         let planned = ExecPlan::new(&grid).threads(2).run(exec);
         assert_eq!(crate::pool::run_jobs(&grid, 2, None, exec), planned);

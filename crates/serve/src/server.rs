@@ -9,7 +9,18 @@
 //! a batch, sorts it by [`cost_order`] (longest first, from the cache's
 //! observed costs), and runs it on the runner's index-ordered pool — so
 //! an idle daemon that receives a grid schedules it exactly like the
-//! batch runner would.
+//! batch runner would. The cost table is read from the cache directory
+//! once, at [`Server::bind`]; after that every completed job records its
+//! own cycles into it, so no dispatch re-reads the directory.
+//!
+//! # Input bounds
+//!
+//! A request line is read through a bounded reader: at most
+//! [`MAX_REQUEST_LINE`] bytes are buffered, a longer line is answered
+//! `{"ok":false,"error":"request line too long"}` and the connection
+//! recycled (the answer is best effort when the client is still
+//! writing). Bytes that are not UTF-8 get an error answer too; nesting
+//! is bounded by the parser ([`dmt_common::json::MAX_DEPTH`]).
 //!
 //! # Failure handling
 //!
@@ -35,12 +46,17 @@ use dmt_common::RunLimits;
 use dmt_runner::artifact::{Json, SCHEMA_VERSION};
 use dmt_runner::cache::cost_order;
 use dmt_runner::{panic_message, Cache, JobOutcome, JobSpec};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// The longest request line the daemon buffers, in bytes (the newline
+/// not counted). The largest legitimate request — a `submit` of a whole
+/// sweep grid — is a few hundred bytes per job.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// How a job outcome is produced; injected so tests can count or gate
 /// executions. The executor must honor the [`RunLimits`] cooperatively
@@ -121,7 +137,9 @@ pub struct Server {
 
 impl Server {
     /// Binds the listener and opens (creating if needed) the result
-    /// cache that backs `result` responses and restart memoization.
+    /// cache that backs `result` responses and restart memoization. The
+    /// one scan of the cache directory happens here: it seeds the
+    /// dispatcher's cost table.
     pub fn bind(
         addr: impl ToSocketAddrs,
         cache_dir: &Path,
@@ -130,13 +148,17 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let cache = Cache::open(cache_dir)?;
+        let inner = Inner {
+            cost_index: cache.cost_index(),
+            ..Inner::default()
+        };
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
                 opts,
                 cache,
                 exec,
-                inner: Mutex::new(Inner::default()),
+                inner: Mutex::new(inner),
                 work: Condvar::new(),
             }),
         })
@@ -201,7 +223,7 @@ impl Server {
 /// queue and the retry schedule are empty.
 fn dispatch(shared: &Shared) {
     loop {
-        let batch: Vec<JobSpec> = {
+        let sorted: Vec<JobSpec> = {
             let mut inner = lock_inner(shared);
             loop {
                 // Promote retries whose backoff has elapsed.
@@ -236,14 +258,13 @@ fn dispatch(shared: &Shared) {
                     .unwrap_or_else(PoisonError::into_inner);
                 inner = guard;
             }
+            // Longest-first over the whole batch, from the costs observed
+            // so far — the same policy the batch runner applies to misses.
             let hashes = std::mem::take(&mut inner.queue);
-            hashes.iter().map(|h| inner.jobs[h].spec.clone()).collect()
+            let batch: Vec<&JobSpec> = hashes.iter().map(|h| &inner.jobs[h].spec).collect();
+            let order = cost_order(&batch, &inner.cost_index);
+            order.iter().map(|&i| batch[i].clone()).collect()
         };
-        // Longest-first over the whole batch, from the cache's observed
-        // costs — the same policy the batch runner applies to misses.
-        let refs: Vec<&JobSpec> = batch.iter().collect();
-        let order = cost_order(&refs, &shared.cache.cost_index());
-        let sorted: Vec<JobSpec> = order.iter().map(|&i| batch[i].clone()).collect();
         // run_indexed rather than ExecPlan: the daemon does its own
         // outcome accounting (retry, timed_out, history) in run_one, and
         // the plan's job-level fault isolation would produce outcomes
@@ -307,6 +328,11 @@ fn run_one(shared: &Shared, spec: &JobSpec) {
     let mut inner = lock_inner(shared);
     match &outcome {
         JobOutcome::Completed(_) | JobOutcome::Infeasible(_) => {
+            if let Some(metrics) = outcome.metrics() {
+                inner
+                    .cost_index
+                    .record(&spec.bench, spec.arch.key(), metrics.cycles());
+            }
             if let Some(entry) = inner.jobs.get_mut(&hash) {
                 entry.state = JobState::Done;
                 entry.error = None;
@@ -394,26 +420,79 @@ fn handle_client(shared: &Shared, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
+    let mut line = Vec::new();
+    loop {
+        let read = match read_request_line(&mut reader, &mut line) {
+            Ok(read) => read,
             Err(e) => {
                 eprintln!("[dmt-serve] client read error: {e}; recycling connection");
                 break;
             }
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut out = respond(shared, &line).render_compact();
+        let doc = match read {
+            LineRead::Eof => break,
+            LineRead::TooLong => refuse(shared, "request line too long"),
+            LineRead::Line => match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => respond(shared, text),
+                Err(_) => refuse(shared, "request is not valid UTF-8"),
+            },
+        };
+        let mut out = doc.render_compact();
         out.push('\n');
         if let Err(e) = writer.write_all(out.as_bytes()) {
             eprintln!("[dmt-serve] client write error: {e}; recycling connection");
             break;
         }
+        if read == LineRead::TooLong {
+            // The rest of the line cannot be skipped in bounded time.
+            break;
+        }
     }
+}
+
+/// What [`read_request_line`] found on the connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LineRead {
+    /// The client hung up with nothing pending.
+    Eof,
+    /// `line` holds one request, its terminator stripped.
+    Line,
+    /// More than [`MAX_REQUEST_LINE`] bytes arrived without a newline;
+    /// `line` holds the part that was read.
+    TooLong,
+}
+
+/// Reads one `\n`- or `\r\n`-terminated line into `line`, buffering at
+/// most [`MAX_REQUEST_LINE`] + 1 bytes however long the client's line is.
+/// A final line without a terminator counts as a line.
+fn read_request_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<LineRead> {
+    line.clear();
+    let n = reader
+        .take(MAX_REQUEST_LINE as u64 + 1)
+        .read_until(b'\n', line)?;
+    if n == 0 {
+        return Ok(LineRead::Eof);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if line.len() > MAX_REQUEST_LINE {
+        return Ok(LineRead::TooLong);
+    }
+    Ok(LineRead::Line)
+}
+
+/// Answers a line that never reached the request parser; counted with
+/// the other `bad_requests`.
+fn refuse(shared: &Shared, error: &str) -> Json {
+    eprintln!("[dmt-serve] request error: {error}");
+    lock_inner(shared).bad_requests += 1;
+    Json::obj().with("ok", false).with("error", error)
 }
 
 /// Parses and dispatches one request line, recording its wall-clock
@@ -783,4 +862,175 @@ fn cached_doc(shared: &Shared, hash: u64) -> Option<Json> {
         && doc.get("schema_version").and_then(Json::as_u64) == Some(SCHEMA_VERSION)
         && doc.get("job_hash").and_then(Json::as_str) == Some(format!("{hash:#018x}").as_str());
     identity_ok.then_some(doc)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dmt_common::stats::RunStats;
+    use dmt_core::energy::EnergyReport;
+    use dmt_core::{Arch, SystemConfig};
+    use dmt_runner::JobMetrics;
+
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dmt_serve_unit_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn job(bench: &str, arch: Arch, seed: u64) -> SubmitJob {
+        SubmitJob {
+            spec: JobSpec::new(bench, arch, SystemConfig::default(), seed),
+            deadline_cycles: None,
+        }
+    }
+
+    /// A completed outcome whose cycle count is a function of the spec:
+    /// the bench name's length sets the magnitude, the seed perturbs it.
+    fn stub_outcome(spec: &JobSpec) -> JobOutcome {
+        JobOutcome::completed(JobMetrics {
+            kernel: spec.bench.clone(),
+            stats: RunStats {
+                cycles: spec.bench.len() as u64 * 1000 + spec.seed,
+                ..RunStats::default()
+            },
+            energy: EnergyReport::default(),
+        })
+    }
+
+    /// A daemon whose executor logs the order it was called in. Nothing
+    /// listens on the socket: the tests below drive `submit`, `drain`
+    /// and `dispatch` directly, on one thread.
+    fn server_logging_to(dir: &Path, ran: &Arc<Mutex<Vec<String>>>) -> Server {
+        let ran = Arc::clone(ran);
+        let exec: Executor = Box::new(move |spec, _| {
+            ran.lock().unwrap().push(spec.bench.clone());
+            stub_outcome(spec)
+        });
+        Server::bind("127.0.0.1:0", dir, ServeOptions::default(), exec).expect("bind")
+    }
+
+    #[test]
+    fn cost_index_after_a_cold_grid_equals_a_scan_of_the_cache_directory() {
+        let dir = scratch("index_tracks");
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let server = server_logging_to(&dir, &ran);
+        let shared = &server.shared;
+        assert!(lock_inner(shared).cost_index.is_empty(), "cold boot");
+
+        // A cold grid: two seeds per point, so `record` has maxima to
+        // keep, plus an infeasible-free mix of benches and machines.
+        let grid: Vec<SubmitJob> = ["aa", "bbbb", "c"]
+            .iter()
+            .flat_map(|bench| {
+                [Arch::MtCgra, Arch::DmtCgra]
+                    .into_iter()
+                    .flat_map(move |arch| [7, 3].map(|seed| job(bench, arch, seed)))
+            })
+            .collect();
+        assert_eq!(submit(shared, grid).get("ok"), Some(&Json::Bool(true)));
+        drain(shared);
+        dispatch(shared);
+
+        let on_disk = Cache::open(&dir).unwrap().cost_index();
+        assert!(!on_disk.is_empty());
+        assert_eq!(lock_inner(shared).cost_index, on_disk);
+        assert_eq!(ran.lock().unwrap().len(), 12);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn warm_boot_dispatches_longest_first_from_the_seeded_index() {
+        let dir = scratch("warm_boot");
+        // A previous process left three points behind (seed 1).
+        let previous = Cache::open(&dir).unwrap();
+        for bench in ["mid__", "long_____", "s"] {
+            let spec = job(bench, Arch::DmtCgra, 1).spec;
+            previous.store(&spec, &stub_outcome(&spec)).unwrap();
+        }
+
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let server = server_logging_to(&dir, &ran);
+        let shared = &server.shared;
+        assert_eq!(lock_inner(shared).cost_index, previous.cost_index());
+
+        // New seeds of the known points in ascending-cost order, with a
+        // point the index has never seen in the middle.
+        let batch = ["s", "unknown", "mid__", "long_____"]
+            .map(|bench| job(bench, Arch::DmtCgra, 2))
+            .to_vec();
+        submit(shared, batch);
+        drain(shared);
+        dispatch(shared);
+        assert_eq!(
+            *ran.lock().unwrap(),
+            ["long_____", "mid__", "s", "unknown"],
+            "known costs longest first, then the unknown in submit order"
+        );
+        // ...and the batch's own completions are in the table now.
+        let spec = job("unknown", Arch::DmtCgra, 9).spec;
+        assert_eq!(
+            lock_inner(shared).cost_index.estimate(&spec),
+            Some("unknown".len() as u64 * 1000 + 2)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn read_all(input: &[u8]) -> Vec<(LineRead, Vec<u8>)> {
+        let mut reader = BufReader::with_capacity(7, input);
+        let mut line = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            let read = read_request_line(&mut reader, &mut line).unwrap();
+            out.push((read, line.clone()));
+            if read != LineRead::Line {
+                return out;
+            }
+        }
+    }
+
+    #[test]
+    fn request_lines_split_like_bufread_lines() {
+        let got = read_all(b"{\"a\":1}\n\r\nsecond line\r\n\nlast, unterminated");
+        let lines: Vec<&[u8]> = got.iter().map(|(_, l)| l.as_slice()).collect();
+        assert_eq!(
+            lines,
+            [
+                &b"{\"a\":1}"[..],
+                b"",
+                b"second line",
+                b"",
+                b"last, unterminated",
+                b""
+            ]
+        );
+        assert!(got[..5].iter().all(|(r, _)| *r == LineRead::Line));
+        assert_eq!(got[5].0, LineRead::Eof);
+        assert_eq!(read_all(b""), [(LineRead::Eof, Vec::new())]);
+    }
+
+    #[test]
+    fn request_line_bound_is_exact() {
+        let mut fits = vec![b'x'; MAX_REQUEST_LINE];
+        fits.extend_from_slice(b"\nnext\n");
+        let got = read_all(&fits);
+        assert_eq!(got[0].0, LineRead::Line);
+        assert_eq!(got[0].1.len(), MAX_REQUEST_LINE);
+        assert_eq!(got[1], (LineRead::Line, b"next".to_vec()));
+
+        let mut over = vec![b'x'; MAX_REQUEST_LINE + 1];
+        over.push(b'\n');
+        assert_eq!(read_all(&over)[0].0, LineRead::TooLong);
+    }
+
+    #[test]
+    fn an_endless_line_is_refused_without_buffering_it() {
+        let mut reader = BufReader::new(io::repeat(b'['));
+        let mut line = Vec::new();
+        let read = read_request_line(&mut reader, &mut line).unwrap();
+        assert_eq!(read, LineRead::TooLong);
+        assert_eq!(line.len(), MAX_REQUEST_LINE + 1);
+        // `Vec` growth may round the buffer up, never past a doubling.
+        assert!(line.capacity() <= 2 * (MAX_REQUEST_LINE + 1) + 64 * 1024);
+    }
 }

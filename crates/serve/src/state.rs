@@ -5,6 +5,7 @@
 //! table only tracks the current process's view.
 
 use dmt_obs::Histogram;
+use dmt_runner::cache::CostIndex;
 use dmt_runner::JobSpec;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -118,4 +119,9 @@ pub struct Inner {
     pub latency: [Histogram; crate::protocol::VERBS.len()],
     /// Request lines that failed to parse (no verb to attribute).
     pub bad_requests: u64,
+    /// The dispatcher's job-cost estimator: seeded from the cache
+    /// directory once at boot, then fed every job this process
+    /// completes. Entries another process adds to the directory later
+    /// are not seen — that only affects execution order.
+    pub cost_index: CostIndex,
 }

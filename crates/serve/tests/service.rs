@@ -22,7 +22,11 @@
 //!    permanently, without retry, and without poisoning the cache;
 //! 9. a client disconnecting mid-request neither wedges the daemon nor
 //!    leaks its work: other clients keep being served and drain is
-//!    clean.
+//!    clean;
+//! 10. hostile bytes are bounded: a request nested past the parser's
+//!     depth limit and a line that is not UTF-8 get error answers on a
+//!     connection that keeps working, and a line longer than
+//!     `MAX_REQUEST_LINE` is answered and its connection recycled.
 
 use dmt_runner::artifact::Json;
 use dmt_runner::JobOutcome;
@@ -712,6 +716,67 @@ fn client_disconnect_mid_request_leaves_the_daemon_serving() {
         u64::try_from(count.load(Ordering::SeqCst)).unwrap()
     );
     assert!(summary.done >= 1, "the attended job must have run");
+}
+
+#[test]
+fn hostile_request_bytes_are_refused_within_bounds() {
+    use dmt_serve::server::MAX_REQUEST_LINE;
+    let dir = scratch("hostile");
+    let count = Arc::new(AtomicUsize::new(0));
+    let (addr, handle) = boot(&dir, ServeOptions::default(), counting_exec(&count));
+    let error_of = |resp: &Json| {
+        assert!(!ok(resp), "{resp:?}");
+        resp.get("error")
+            .and_then(Json::as_str)
+            .expect("error field")
+            .to_owned()
+    };
+
+    // Deep nesting inside the line bound: the parser's own limit answers,
+    // where an unbounded descent would have overflowed the handler's stack.
+    let mut c = Client::connect(addr);
+    let err = error_of(&c.req(&"[".repeat(100_000)));
+    assert_eq!(err, "bad JSON: nesting deeper than 128 at byte 128");
+
+    // Bytes that are not UTF-8 still end at a newline, so the line is
+    // refused and the connection stays in step.
+    c.writer.write_all(b"{\"verb\":\xff\xfe}\n").expect("send");
+    let mut raw = String::new();
+    c.reader.read_line(&mut raw).expect("recv");
+    assert_eq!(
+        error_of(&Json::parse(raw.trim_end()).expect("one JSON line")),
+        "request is not valid UTF-8"
+    );
+    assert!(
+        ok(&c.req(r#"{"verb":"metrics"}"#)),
+        "connection still in step"
+    );
+
+    // One byte past the bound with no newline in sight: answered from the
+    // bounded buffer, then the connection is closed. Exactly the bytes the
+    // daemon reads are sent, so its close is a clean FIN and the answer
+    // is not lost to a reset.
+    let mut long = Client::connect(addr);
+    long.writer
+        .write_all(&vec![b'x'; MAX_REQUEST_LINE + 1])
+        .expect("send");
+    let mut raw = String::new();
+    long.reader.read_line(&mut raw).expect("recv");
+    assert_eq!(
+        error_of(&Json::parse(raw.trim_end()).expect("one JSON line")),
+        "request line too long"
+    );
+    raw.clear();
+    assert_eq!(long.reader.read_line(&mut raw).expect("eof"), 0, "{raw:?}");
+
+    // All three count as bad requests, none reached an executor, and the
+    // daemon drains clean.
+    let metrics = c.req(r#"{"verb":"metrics"}"#);
+    let bad = metrics.get("requests").and_then(|r| r.get("bad"));
+    assert_eq!(bad.and_then(Json::as_u64), Some(3), "{metrics:?}");
+    c.req(r#"{"verb":"drain"}"#);
+    assert_eq!(handle.join().unwrap().done, 0);
+    assert_eq!(count.load(Ordering::SeqCst), 0);
 }
 
 #[test]

@@ -21,6 +21,7 @@
 //! simulations" is asserted directly, not inferred from timing.
 
 use dmt_bench::{execute_job, fig11_report, run_suite_pooled, suite_jobs, RowOutcome, SEED};
+use dmt_common::faults::{self, quiet_guarded, FaultPlan};
 use dmt_core::SystemConfig;
 use dmt_runner::{Artifact, Cache, ExecPlan, JobOutcome, JobSpec};
 use std::path::PathBuf;
@@ -66,6 +67,7 @@ fn fig11_outputs(jobs: &[JobSpec], outcomes: &[JobOutcome]) -> (String, String) 
 
 #[test]
 fn warm_rerun_simulates_nothing_and_matches_the_cold_run_byte_for_byte() {
+    let _guard = quiet_guarded();
     let dir = scratch("warm");
     let jobs = suite_jobs(SystemConfig::default(), SEED, 3);
 
@@ -105,6 +107,7 @@ fn warm_rerun_simulates_nothing_and_matches_the_cold_run_byte_for_byte() {
 
 #[test]
 fn corrupted_and_truncated_entries_are_ignored_and_recomputed() {
+    let _guard = quiet_guarded();
     let dir = scratch("corrupt");
     let jobs = suite_jobs(SystemConfig::default(), SEED, 3);
 
@@ -143,6 +146,7 @@ fn corrupted_and_truncated_entries_are_ignored_and_recomputed() {
 
 #[test]
 fn v1_cache_entries_are_invalidated_as_miss_and_rewritten_as_v2() {
+    let _guard = quiet_guarded();
     use dmt_runner::artifact::{Json, SCHEMA_VERSION};
 
     let dir = scratch("v1_migration");
@@ -241,6 +245,7 @@ fn artifact_bytes(jobs: &[JobSpec], outcomes: &[JobOutcome]) -> String {
 
 #[test]
 fn unusable_cache_dir_degrades_to_counted_no_cache_operation() {
+    let _guard = quiet_guarded();
     // A *file* where the cache directory should go: `open` would error,
     // `open_or_degraded` hands back a no-I/O handle instead. (Permission
     // bits can't model this under root, which ignores them.)
@@ -272,8 +277,7 @@ fn unusable_cache_dir_degrades_to_counted_no_cache_operation() {
 
 #[test]
 fn write_and_rename_faults_cost_one_counted_miss_each_not_the_run() {
-    use dmt_common::faults::{install_guarded, FaultPlan};
-
+    let _guard = quiet_guarded();
     let jobs = suite_jobs(SystemConfig::default(), SEED, 3);
     let baseline: Vec<JobOutcome> = ExecPlan::new(&jobs).run(stub);
     let base_bytes = artifact_bytes(&jobs, &baseline);
@@ -288,10 +292,9 @@ fn write_and_rename_faults_cost_one_counted_miss_each_not_the_run() {
     ] {
         let dir = scratch(tag);
         let cache = Cache::open(&dir).unwrap();
-        let outcomes = {
-            let _guard = install_guarded(FaultPlan::parse(spec).unwrap());
-            ExecPlan::new(&jobs).cache(Some(&cache)).run(stub)
-        };
+        faults::install(FaultPlan::parse(spec).unwrap());
+        let outcomes = ExecPlan::new(&jobs).cache(Some(&cache)).run(stub);
+        faults::install(FaultPlan::empty());
         assert_eq!(
             artifact_bytes(&jobs, &outcomes),
             base_bytes,
@@ -328,6 +331,7 @@ fn smoke_run_with(
 
 #[test]
 fn interrupted_run_resumes_only_the_missing_jobs() {
+    let _guard = quiet_guarded();
     let dir = scratch("resume");
 
     // "Interrupted" run: only the first two suite rows ever completed
