@@ -1,13 +1,23 @@
 # Local verification targets, kept in lock-step with .github/workflows/ci.yml
 # so "make <target>" locally reproduces exactly what CI gates on.
 
-.PHONY: all build test lint fmt bench-smoke perf-smoke bench bench-repeat arch-gate profile-smoke perf-full proptest-deep serve-smoke chaos clean
+.PHONY: all build bench-check test lint fmt bench-smoke perf-smoke bench bench-repeat arch-gate arch-gate-check profile-smoke perf-full proptest-deep serve-smoke chaos clean
 
-all: build test lint bench-smoke perf-smoke profile-smoke serve-smoke chaos
+all: build bench-check test lint bench-smoke perf-smoke profile-smoke serve-smoke chaos
 
 # CI job: build (release)
 build:
 	cargo build --release --locked
+
+# CI job: build — benchmark/ is a separate workspace and the one consumer
+# of the product crates' APIs outside tier-1 (BENCHMARK.json freezes its
+# sources), so an API change must be shown not to break it. It pins:
+# FabricMachine::new/run_limited, GpuMachine::new/run_limited,
+# Machine::{new, run, run_observed}, dmt_bench::{execute_job,
+# execute_job_observed, execute_job_limited, geomean_rows, RowOutcome},
+# ExecPlan::{new, threads, cache, run}.
+bench-check:
+	cargo check --offline --all-targets --manifest-path benchmark/Cargo.toml
 
 # CI job: test — exactly the tier-1 verify command
 test:
@@ -64,16 +74,21 @@ bench:
 bench-repeat:
 	$(BENCH) --repeat 2
 
-# CI step: arch-gate — fresh hotpath measurement, then the per-arch
-# throughput gate: MT-CGRA sim-cycles/sec must stay within 5% of the
+# CI step: arch-gate-check — the per-arch throughput gate over an
+# existing artifacts/BENCH_hotpath.json (the workflow measures it in its
+# perf-smoke step): MT-CGRA sim-cycles/sec must stay within 5% of the
 # previous run's artifact (CI persists it as baseline-hotpath.json; the
-# first run skips cleanly) and the absolute MT/SM slowdown ceiling
-# (DMT_MAX_MT_SM_RATIO, kept in lockstep with the workflow env).
-# Mirrors the bench-artifact job's step.
+# first run skips cleanly) and under the absolute MT/SM slowdown ceiling.
+# DMT_MAX_MT_SM_RATIO is spelled here and nowhere else — it sits above
+# the local best-of measurement to absorb shared-runner timing noise;
+# ratchet it down as engine work closes the gap. `make arch-gate` is the
+# local form: a fresh measurement (perf-smoke), then the check.
 DMT_MAX_MT_SM_RATIO ?= 8.5
 arch-gate:
-	cargo run --release --locked -p dmt-bench --bin bench_hotpath -- \
-		--json artifacts/BENCH_hotpath.json
+	$(MAKE) perf-smoke
+	$(MAKE) arch-gate-check
+
+arch-gate-check:
 	python3 ci/arch_gate.py artifacts/BENCH_hotpath.json \
 		--baseline artifacts/trajectory/baseline-hotpath.json \
 		--max-mt-sm-ratio $(DMT_MAX_MT_SM_RATIO)

@@ -81,18 +81,13 @@ def main():
     failed = False
     ratio = new.get("mt_vs_sm_slowdown")
     if isinstance(ratio, (int, float)) and ratio > 0:
-        mode = ""
-        mt = new.get("archs", {}).get("mt_cgra")
-        if isinstance(mt, dict) and isinstance(mt.get("fire_mode"), str):
-            mode = (f" (fire {mt['fire_mode']}, "
-                    f"delivery {mt.get('delivery_mode', '?')})")
         if ratio > args.max_mt_sm_ratio:
             print(f"arch gate: mt_vs_sm_slowdown {ratio:.2f}x exceeds the "
-                  f"{args.max_mt_sm_ratio:.2f}x ceiling{mode}", file=sys.stderr)
+                  f"{args.max_mt_sm_ratio:.2f}x ceiling", file=sys.stderr)
             failed = True
         else:
             print(f"  mt_vs_sm_slowdown {ratio:.2f}x within the "
-                  f"{args.max_mt_sm_ratio:.2f}x ceiling{mode}")
+                  f"{args.max_mt_sm_ratio:.2f}x ceiling")
     else:
         print("arch gate: artifact has no mt_vs_sm_slowdown; "
               "skipping the absolute ceiling")

@@ -17,11 +17,12 @@ wall-clock measurement from ``bench_hotpath`` (sim-cycles/sec and the
 speedup over the vendored pre-overhaul baseline, plus — from schema-v2
 hotpath artifacts — per-architecture sim-cycles/sec and the MT-CGRA/SM
 throughput ratio, the history ``ci/arch_gate.py`` gates against from
-this push forward; schema-v3 artifacts add the active fire/delivery
-modes and the fire-loop share per fabric arch under ``modes``; both
-schemas are accepted and older rows simply lack the newer keys). This
-is informational — wall time depends on the runner host — and never
-gates the trajectory append itself; ``bench_regress.py`` gates on
+this push forward; schema-v3 and later artifacts add the fire-loop share
+per fabric arch under ``modes``; hotpath schemas v2–v4 are accepted,
+and rows recorded from older ones simply lack the newer keys — or, from
+v3, carry two engine-path keys nothing reads any more). This is
+informational — wall time depends on the runner host — and never gates
+the trajectory append itself; ``bench_regress.py`` gates on
 deterministic cycles only.
 """
 
@@ -84,8 +85,8 @@ def main():
                 "sim_cycles_per_sec": total.get("sim_cycles_per_sec"),
                 "speedup_vs_baseline": total.get("speedup_vs_baseline"),
             }
-            # Schema-v2 hotpath artifacts: per-arch throughput history
-            # (v1 rows in the same series simply lack the keys).
+            # Schema-v2 and later hotpath artifacts: per-arch throughput
+            # history (v1 rows in the same series simply lack the keys).
             archs = doc.get("archs")
             if isinstance(archs, dict):
                 hotpath["archs"] = {
@@ -93,18 +94,13 @@ def main():
                     for name, rec in archs.items()
                     if isinstance(rec, dict)
                 }
-                # Schema-v3: active fire/delivery modes and the fire-loop
-                # share estimate per fabric arch (v2 rows lack the keys).
+                # Schema-v3 and later: the fire-loop share estimate per
+                # fabric arch (v2 rows lack the key).
                 modes = {
-                    name: {
-                        k: rec[k]
-                        for k in ("fire_mode", "delivery_mode", "fire_event_share")
-                        if k in rec
-                    }
+                    name: {"fire_event_share": rec["fire_event_share"]}
                     for name, rec in archs.items()
-                    if isinstance(rec, dict)
+                    if isinstance(rec, dict) and "fire_event_share" in rec
                 }
-                modes = {n: m for n, m in modes.items() if m}
                 if modes:
                     hotpath["modes"] = modes
             if isinstance(doc.get("mt_vs_sm_slowdown"), (int, float)):

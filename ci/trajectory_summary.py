@@ -105,24 +105,12 @@ def fmt_hotpath(entry):
     return cell
 
 
-FIRE_MODE_MARKS = {"batched": "·b", "per_token": "·pt", "mixed": "·mx"}
-
-
 def fmt_mt_over_sm(entry):
-    """MT-CGRA/SM throughput ratio cell ('-' for pre-per-arch entries),
-    suffixed with the MT-CGRA engine's active fire mode when the entry
-    records one (schema-v3 hotpath artifacts): ``·b`` batched, ``·pt``
-    per-token, ``·mx`` mixed across the smoke benches."""
-    h = entry.get("hotpath") or {}
-    ratio = h.get("mt_vs_sm_slowdown")
+    """MT-CGRA/SM throughput ratio cell ('-' for pre-per-arch entries)."""
+    ratio = (entry.get("hotpath") or {}).get("mt_vs_sm_slowdown")
     if not isinstance(ratio, (int, float)) or ratio <= 0:
         return "-"
-    cell = f"{ratio:.2f}x"
-    mt = (h.get("modes") or {}).get("mt_cgra") or {}
-    mark = FIRE_MODE_MARKS.get(mt.get("fire_mode"))
-    if mark:
-        cell += f" {mark}"
-    return cell
+    return f"{ratio:.2f}x"
 
 
 def render(trajectory, last):
@@ -167,9 +155,7 @@ def render(trajectory, last):
         "`hotpath` is host-dependent simulator throughput (informational); "
         "`MT/SM` is how many times slower the MT-CGRA engine simulates "
         "than the Fermi-SM engine on the smoke work (gated push-over-push "
-        "and against an absolute ceiling by `ci/arch_gate.py`), suffixed "
-        "with the active fire mode (`·b` batched, `·pt` per-token, `·mx` "
-        "mixed) on entries that record one."
+        "and against an absolute ceiling by `ci/arch_gate.py`)."
     )
     return "\n".join(lines) + "\n"
 

@@ -12,7 +12,7 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 3,
+//!   "schema_version": 4,
 //!   "kind": "bench_hotpath",
 //!   "iters": 3,
 //!   "baseline": { ... the vendored pre-overhaul measurement ... },
@@ -23,10 +23,8 @@
 //!     "speedup_vs_baseline": ...  // baseline.wall_us / total.wall_us
 //!   },
 //!   "archs": {                   // smoke-scope per-arch aggregates
-//!     "fermi_sm":  {"sim_cycles": ..., "wall_us": ..., "sim_cycles_per_sec": ...,
-//!                   "fire_mode": "n/a", "delivery_mode": "n/a"},
-//!     "mt_cgra":   { ..., "fire_mode": "per_token", "delivery_mode": "per_token",
-//!                   "fire_event_share": 0.27 },
+//!     "fermi_sm":  {"sim_cycles": ..., "wall_us": ..., "sim_cycles_per_sec": ...},
+//!     "mt_cgra":   { ..., "fire_event_share": 0.27 },
 //!     "dmt_cgra":  { ... }
 //!   },
 //!   "mt_vs_sm_slowdown": ...,    // fermi_sm cyc/s ÷ mt_cgra cyc/s
@@ -41,18 +39,19 @@
 //! keeps the smoke scope even under `--full` so history stays
 //! like-for-like.
 //!
-//! Schema v3 (every v2 field unchanged) annotates each fabric arch with
-//! the *active* fire and delivery modes — `"batched"`, `"per_token"`, or
-//! `"mixed"` when the smoke benches resolve the auto gates differently —
-//! resolved exactly as the engine does: from the `DMT_*_FIRE` /
-//! `DMT_*_DELIVERY` environment and each compiled program's replication
-//! factor. It also records `fire_event_share`, a fire-loop share
-//! estimate from the hot-spot profiler's counters on one untimed
-//! observed pass: node firings ÷ (node firings + calendar-scheduled
-//! logical events) — the fraction of per-cycle engine work spent firing
-//! nodes as opposed to handling scheduled events (token deliveries,
-//! unit releases, thread retirements). `fermi_sm` reports `"n/a"` modes
-//! and no share (the SM engine has neither gate nor calendar).
+//! Schema v3 (every v2 field unchanged) added `fire_event_share` per
+//! fabric arch, a fire-loop share estimate from the hot-spot profiler's
+//! counters on one untimed observed pass: node firings ÷ (node firings +
+//! calendar-scheduled logical events) — the fraction of per-cycle engine
+//! work spent firing nodes as opposed to handling scheduled events (token
+//! deliveries, unit releases, thread retirements). `fermi_sm` reports no
+//! share (the SM engine has no calendar).
+//!
+//! Schema v4 removes v3's per-arch engine-path annotations (two string
+//! keys): the engine has one fire path, and which delivery path a launch
+//! takes is the engine's own rule on the compiled program's replication
+//! — not something this binary re-derives. Every other v3 field is
+//! unchanged.
 //!
 //! The baseline block is the pre-rewrite engine measured on the same
 //! suite (`crates/bench/baselines/hotpath_serial.json`); the recorded
@@ -68,7 +67,6 @@
 //! (non-gating) CI, not the push-path `bench-artifact` job.
 
 use dmt_bench::{run_jobs_observed, run_suite_pooled, suite_jobs, try_run_one, SEED};
-use dmt_core::fabric::{DeliveryMode, FireMode};
 use dmt_core::{Arch, SystemConfig};
 use dmt_kernels::suite;
 use dmt_runner::artifact::{write_json_logged, Json};
@@ -175,9 +173,9 @@ fn main() {
         }
     }
 
-    // Schema v3: the active fire/delivery modes per fabric arch and a
-    // fire-loop share estimate from one untimed observed pass over the
-    // smoke grid (profiling is excluded from every timed measurement).
+    // A fire-loop share estimate per fabric arch, from one untimed
+    // observed pass over the smoke grid (profiling is excluded from every
+    // timed measurement).
     let (obs_run, observations) =
         run_jobs_observed(suite_jobs(cfg, SEED, SMOKE_BENCHES), SEED, 1, false, true);
     let mut arch_fires = [0u64; Arch::ALL.len()];
@@ -193,13 +191,10 @@ fn main() {
 
     let mut archs = Json::obj();
     for (ai, arch) in Arch::ALL.into_iter().enumerate() {
-        let (fire_mode, delivery_mode) = arch_modes(arch, &cfg);
         let mut rec = Json::obj()
             .with("sim_cycles", arch_cycles[ai])
             .with("wall_us", arch_us[ai])
-            .with("sim_cycles_per_sec", cps(arch_cycles[ai], arch_us[ai]))
-            .with("fire_mode", fire_mode)
-            .with("delivery_mode", delivery_mode);
+            .with("sim_cycles_per_sec", cps(arch_cycles[ai], arch_us[ai]));
         if arch != Arch::FermiSm {
             let denom = arch_fires[ai] + arch_sched[ai];
             if denom > 0 {
@@ -211,11 +206,9 @@ fn main() {
     let sm_cps = cps(arch_cycles[0], arch_us[0]);
     let mt_cps = cps(arch_cycles[1], arch_us[1]);
     let mt_vs_sm = if mt_cps > 0.0 { sm_cps / mt_cps } else { 0.0 };
-    let (mt_fire, mt_delivery) = arch_modes(Arch::MtCgra, &cfg);
     println!(
         "per-arch smoke throughput: SM {sm_cps:.0} cyc/s, MT-CGRA {mt_cps:.0} cyc/s \
-         ({mt_vs_sm:.2}x slower, fire {mt_fire}, delivery {mt_delivery}), \
-         dMT-CGRA {:.0} cyc/s",
+         ({mt_vs_sm:.2}x slower), dMT-CGRA {:.0} cyc/s",
         cps(arch_cycles[2], arch_us[2])
     );
 
@@ -243,7 +236,7 @@ fn main() {
     );
 
     let doc = Json::obj()
-        .with("schema_version", 3u64)
+        .with("schema_version", 4u64)
         .with("generator", "bench_hotpath")
         .with("kind", "bench_hotpath")
         .with("iters", u64::from(args.iters))
@@ -261,41 +254,6 @@ fn main() {
         .with("mt_vs_sm_slowdown", mt_vs_sm)
         .with("jobs", Json::Arr(jobs));
     write_json_logged(&args.json, &doc);
-}
-
-/// The active fire/delivery mode keys a fabric arch resolves over the
-/// smoke benches: the engine's own gates (environment override, else
-/// auto by each compiled program's replication factor), aggregated to
-/// one key — or `"mixed"` when the benches disagree. The Fermi SM has
-/// neither gate and reports `"n/a"`.
-fn arch_modes(arch: Arch, cfg: &SystemConfig) -> (String, String) {
-    if arch == Arch::FermiSm {
-        return ("n/a".into(), "n/a".into());
-    }
-    let (fire, delivery) = (FireMode::from_env(), DeliveryMode::from_env());
-    let mut keys: Option<(&'static str, &'static str)> = None;
-    let mut mixed = (false, false);
-    for b in suite::all().into_iter().take(SMOKE_BENCHES) {
-        let kernel = match arch {
-            Arch::DmtCgra => b.dmt_kernel(),
-            Arch::FermiSm | Arch::MtCgra => b.shared_kernel(),
-        };
-        let program = dmt_core::compiler::compile(&kernel, cfg).expect("smoke kernels compile");
-        let fk = fire.key_for(program.replication);
-        let dk = delivery.key_for(program.replication);
-        match keys {
-            None => keys = Some((fk, dk)),
-            Some((f0, d0)) => {
-                mixed.0 |= f0 != fk;
-                mixed.1 |= d0 != dk;
-            }
-        }
-    }
-    let (f0, d0) = keys.expect("smoke set is non-empty");
-    (
-        if mixed.0 { "mixed" } else { f0 }.into(),
-        if mixed.1 { "mixed" } else { d0 }.into(),
-    )
 }
 
 fn elapsed_us(t: Instant) -> u64 {

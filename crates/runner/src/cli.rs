@@ -219,26 +219,6 @@ impl RunnerArgs {
         }
     }
 
-    /// [`RunnerArgs::from_env`] with binary-specific boolean flags
-    /// named as bare strings.
-    #[deprecated(
-        since = "0.1.0",
-        note = "declare a `&[Flag]` table and use from_env_registry (generated --help)"
-    )]
-    #[must_use]
-    pub fn from_env_with(extra_flags: &[&str]) -> RunnerArgs {
-        let binary = binary_name();
-        #[allow(deprecated)]
-        match RunnerArgs::parse_with(std::env::args().skip(1), extra_flags) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!("{}", usage_line(&binary, &[]));
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// Parses an argument list against the shared registry.
     ///
     /// # Errors
@@ -263,39 +243,6 @@ impl RunnerArgs {
             .rev()
             .find(|(n, _)| n == flag)
             .and_then(|(_, v)| v.as_deref())
-    }
-
-    /// [`RunnerArgs::parse`] with binary-specific boolean pass-through
-    /// flags named as bare strings.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for a missing or malformed flag value.
-    #[deprecated(
-        since = "0.1.0",
-        note = "declare a `&[Flag]` table and use parse_registry"
-    )]
-    pub fn parse_with(
-        args: impl IntoIterator<Item = String>,
-        extra_flags: &[&str],
-    ) -> Result<RunnerArgs, String> {
-        // The legacy table is switches only, so occurrences can be
-        // lifted out before registry parsing without reordering any
-        // value that follows its flag.
-        let mut out_extras = Vec::new();
-        let remaining: Vec<String> = args
-            .into_iter()
-            .filter(|a| {
-                let registered = extra_flags.contains(&a.as_str());
-                if registered {
-                    out_extras.push((a.clone(), None));
-                }
-                !registered
-            })
-            .collect();
-        let mut out = RunnerArgs::parse_registry(remaining, &[])?;
-        out.extras = out_extras;
-        Ok(out)
     }
 
     /// Parses an argument list against [`SHARED_FLAGS`] plus a
@@ -708,23 +655,6 @@ mod tests {
         // registration does not leak to other unknown flags.
         assert!(RunnerArgs::parse_registry(["--iters".to_owned()].into_iter(), FLAGS).is_err());
         assert!(RunnerArgs::parse_registry(["--nope".to_owned()].into_iter(), FLAGS).is_err());
-    }
-
-    #[test]
-    fn legacy_bare_string_registration_still_works() {
-        #![allow(deprecated)]
-        let a = RunnerArgs::parse_with(
-            [
-                "--threads".to_owned(),
-                "2".to_owned(),
-                "--per-phase".to_owned(),
-            ],
-            &["--per-phase"],
-        )
-        .unwrap();
-        assert_eq!(a.threads, Some(2));
-        assert!(a.has_flag("--per-phase"));
-        assert!(RunnerArgs::parse_with(["--nope".to_owned()], &["--per-phase"]).is_err());
     }
 
     #[test]

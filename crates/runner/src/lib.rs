@@ -78,6 +78,4 @@ pub use hash::{config_hash, StableHasher};
 pub use job::{JobMetrics, JobOutcome, JobSpec};
 pub use plan::{panic_message, ExecPlan};
 pub use pool::run_indexed;
-#[allow(deprecated)]
-pub use pool::{run_jobs, run_jobs_cached, run_scheduled};
 pub use progress::Progress;

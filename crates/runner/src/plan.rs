@@ -1,9 +1,5 @@
-//! The one way to execute a job grid: the [`ExecPlan`] builder.
-//!
-//! Three generations of positional entry points (`run_jobs`,
-//! `run_jobs_cached`, `run_scheduled` — each adding one more parameter
-//! to the previous signature) collapsed into a single builder that both
-//! the CLI binaries and the `dmt-serve` daemon consume:
+//! The one way to execute a job grid: the [`ExecPlan`] builder, consumed
+//! by both the CLI binaries and the `dmt-serve` daemon:
 //!
 //! ```text
 //! ExecPlan::new(&jobs).threads(n).cache(Some(&c)).progress(Some(&p)).run(exec)
@@ -11,8 +7,7 @@
 //!
 //! Every knob is optional and defaults to the serial, uncached,
 //! unreported run, so the minimal call reads exactly like what it does:
-//! `ExecPlan::new(&jobs).run(exec)`. The execution semantics are
-//! unchanged from the functions it replaces:
+//! `ExecPlan::new(&jobs).run(exec)`. The execution semantics:
 //!
 //! * **deterministic aggregation** — outcomes land by job index, so the
 //!   result vector is byte-identical for any thread count;
@@ -392,18 +387,5 @@ mod tests {
     fn plain_run_rejects_limits_it_cannot_enforce() {
         let grid = jobs(1);
         let _ = ExecPlan::new(&grid).deadline_cycles(Some(10)).run(exec);
-    }
-
-    #[test]
-    fn deprecated_shims_match_the_plan() {
-        #![allow(deprecated)]
-        let _guard = quiet_guarded();
-        let grid = jobs(5);
-        let planned = ExecPlan::new(&grid).threads(2).run(exec);
-        assert_eq!(crate::pool::run_jobs(&grid, 2, None, exec), planned);
-        assert_eq!(
-            crate::pool::run_jobs_cached(&grid, 2, None, None, exec),
-            planned
-        );
     }
 }

@@ -26,7 +26,11 @@
 //! 10. hostile bytes are bounded: a request nested past the parser's
 //!     depth limit and a line that is not UTF-8 get error answers on a
 //!     connection that keeps working, and a line longer than
-//!     `MAX_REQUEST_LINE` is answered and its connection recycled.
+//!     `MAX_REQUEST_LINE` is answered and its connection recycled;
+//! 11. a config override no launch can run under (a zero injection
+//!     width) ends its job in a terminal state carrying the engine's
+//!     typed error instead of parking a worker for ever, and drain is
+//!     clean.
 
 use dmt_runner::artifact::Json;
 use dmt_runner::JobOutcome;
@@ -676,6 +680,45 @@ fn deadline_cycles_times_out_without_retry_or_cache_poisoning() {
             done: 1,
             failed: 0,
             timed_out: 1
+        }
+    );
+}
+
+#[test]
+fn zero_injection_width_override_ends_the_job_instead_of_a_worker() {
+    let dir = scratch("zero_width");
+    let (addr, handle) = boot(&dir, ServeOptions::default(), bench_exec());
+    let mut c = Client::connect(addr);
+    // No deadline: before the engine refused this configuration, the job
+    // spun its worker's cycle loop for ever and `drain` never returned.
+    let resp = c.req(
+        r#"{"verb":"submit","jobs":[{"bench":"scan","arch":"dmt_cgra",
+            "config":{"fabric.threads_injected_per_cycle":0}}]}"#
+            .replace('\n', " ")
+            .as_str(),
+    );
+    assert!(ok(&resp), "{resp:?}");
+    let hs = hashes(&resp);
+    c.wait_done(&hs[0]);
+    let result = c.req_raw(&format!(r#"{{"verb":"result","job_hash":"{}"}}"#, hs[0]));
+    assert!(
+        result.contains(r#""status":"infeasible""#)
+            && result.contains("fabric.threads_injected_per_cycle must be at least 1"),
+        "{result}"
+    );
+    c.req(r#"{"verb":"drain"}"#);
+    // Watchdog: a parked worker would make this join hang, not fail.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(handle.join().expect("serve thread")));
+    let summary = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("daemon drains: no worker is stuck in the cycle loop");
+    assert_eq!(
+        summary,
+        ServeSummary {
+            done: 1,
+            failed: 0,
+            timed_out: 0
         }
     );
 }

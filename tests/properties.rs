@@ -7,10 +7,8 @@ use dmt_core::common::geom::{Delta, Dim3};
 use dmt_core::common::ids::Addr;
 use dmt_core::dfg::node::CommConfig;
 use dmt_core::{
-    compiler,
-    dfg::interp,
-    fabric::{DeliveryMode, FabricMachine, FireMode},
-    Kernel, KernelBuilder, LaunchInput, MemImage, SystemConfig, Word,
+    compiler, dfg::interp, fabric::FabricMachine, Kernel, KernelBuilder, LaunchInput, MemImage,
+    SystemConfig, Word,
 };
 use proptest::prelude::*;
 
@@ -53,48 +51,6 @@ proptest! {
             .run(&program, LaunchInput::new(params, mem))
             .expect("fabric");
         prop_assert_eq!(run.memory, oracle.memory);
-    }
-
-    /// Fabric == interpreter under every fire × delivery mode combination:
-    /// forcing block-fire (below its auto threshold) or per-token paths must
-    /// never change a byte of memory, and all four combinations must agree
-    /// on the cycle-level `RunStats` too — batching is a pure reordering.
-    #[test]
-    fn fire_and_delivery_modes_agree_for_any_comm_pattern(
-        delta in (-24i32..=24).prop_filter("non-zero", |d| *d != 0),
-        window_pow in 3u32..=7, // windows 8..=128
-        data in proptest::collection::vec(-1000i32..1000, 128),
-    ) {
-        let n = 128u32;
-        let window = 1u32 << window_pow;
-        prop_assume!((delta.unsigned_abs()) < window);
-        let kernel = comm_kernel(delta, window, n);
-        let mut mem = MemImage::with_words(2 * n as usize);
-        mem.write_i32_slice(Addr(0), &data);
-        let params = vec![Word::from_u32(0), Word::from_u32(4 * n)];
-
-        let oracle = interp::run_ref(&kernel, &params, &mem).expect("interp");
-        let cfg = SystemConfig::default();
-        let program = compiler::compile(&kernel, &cfg).expect("compiles");
-        let mut baseline_stats = None;
-        for fire in [FireMode::Batched, FireMode::Unbatched] {
-            for delivery in [DeliveryMode::Batched, DeliveryMode::Unbatched] {
-                let run = FabricMachine::with_modes(cfg, fire, delivery)
-                    .run(&program, LaunchInput::new(params.clone(), mem.clone()))
-                    .expect("fabric");
-                prop_assert_eq!(
-                    &run.memory, &oracle.memory,
-                    "memory diverged under fire {:?} / delivery {:?}", fire, delivery
-                );
-                match &baseline_stats {
-                    None => baseline_stats = Some(run.stats),
-                    Some(stats) => prop_assert_eq!(
-                        stats, &run.stats,
-                        "stats diverged under fire {:?} / delivery {:?}", fire, delivery
-                    ),
-                }
-            }
-        }
     }
 
     /// Every thread receives exactly one token from an elevator: either a
@@ -193,13 +149,18 @@ proptest! {
 
     /// Elevator kernels across (ΔTID, transmission window) × in-flight
     /// window × replication: memory equals the interpreter, cycle counts
-    /// repeat exactly.
+    /// and every other counter repeat exactly. The replication range
+    /// crosses `BATCH_MIN_REPLICATION`, so each delivery path the engine
+    /// can pick meets compiled programs (real placement, `lvc_spilled`,
+    /// `eldst_loop_latency`); the two paths against each other on one
+    /// program is `dmt-fabric`'s own differential — the path is not
+    /// selectable from here.
     #[test]
     fn fabric_matches_interp_under_window_and_replication(
         delta in (-6i32..=6).prop_filter("non-zero", |d| *d != 0),
         window_pow in 2u32..=6, // transmission windows 4..=64
         inflight_sel in 0usize..5,
-        replication in 1u32..=4,
+        replication in 1u32..=16,
         data in proptest::collection::vec(-1000i32..1000, 64),
     ) {
         let n = 64u32;
@@ -267,40 +228,5 @@ proptest! {
             a.stats.global_loads, u64::from(n / win),
             "one load per window group"
         );
-    }
-
-    /// Edge-batched delivery is a pure scheduling change: for arbitrary
-    /// communication patterns and replications (both sides of the
-    /// profitability threshold), the forced-batched and forced-per-token
-    /// engines produce identical memory images and identical statistics —
-    /// every counter, cycle-exact — and both match the interpreter.
-    #[test]
-    fn batched_delivery_is_byte_identical_to_per_token(
-        delta in (-6i32..=6).prop_filter("non-zero", |d| *d != 0),
-        window_pow in 2u32..=6, // transmission windows 4..=64
-        replication in 1u32..=16,
-        data in proptest::collection::vec(-1000i32..1000, 64),
-    ) {
-        let n = 64u32;
-        let window = 1u32 << window_pow;
-        prop_assume!(delta.unsigned_abs() < window);
-        let kernel = comm_kernel(delta, window, n);
-        let mut mem = MemImage::with_words(2 * n as usize);
-        mem.write_i32_slice(Addr(0), &data);
-        let params = vec![Word::from_u32(0), Word::from_u32(4 * n)];
-
-        let oracle = interp::run_ref(&kernel, &params, &mem).expect("interp");
-        let cfg = SystemConfig::default();
-        let mut program = compiler::compile(&kernel, &cfg).expect("compiles");
-        program.replication = replication;
-        let batched = FabricMachine::with_batched_delivery(cfg)
-            .run(&program, LaunchInput::new(params.clone(), mem.clone()))
-            .expect("batched fabric");
-        let unbatched = FabricMachine::with_unbatched_delivery(cfg)
-            .run(&program, LaunchInput::new(params.clone(), mem.clone()))
-            .expect("unbatched fabric");
-        prop_assert_eq!(&batched.memory, &oracle.memory, "batched diverges from interpreter");
-        prop_assert_eq!(&batched.memory, &unbatched.memory, "delivery paths disagree on memory");
-        prop_assert_eq!(&batched.stats, &unbatched.stats, "delivery paths disagree on stats");
     }
 }
