@@ -1,5 +1,6 @@
-# Local verification targets, kept in lock-step with .github/workflows/ci.yml
-# so "make <target>" locally reproduces exactly what CI gates on.
+# Local verification targets. Where .github/workflows/ci.yml runs one of
+# these steps it calls the target, so "make <target>" locally reproduces
+# exactly what CI gates on and each recipe has one spelling.
 
 .PHONY: all build bench-check test lint fmt bench-smoke perf-smoke bench bench-repeat arch-gate arch-gate-check profile-smoke perf-full proptest-deep serve-smoke chaos clean
 
@@ -127,10 +128,11 @@ serve-smoke:
 
 # CI job: chaos-smoke — the built binaries under a fixed adversarial
 # fault schedule: cache write/rename faults absorbed and replayed
-# byte-identically, deadlines typed as timed_out, one pool.exec fault
-# costs exactly one job, and the daemon survives a poisoned response,
-# a per-job deadline and hostile clients (raw bytes, 100k-deep nesting,
-# an oversize and an endless line) and still drains clean. The
+# byte-identically, deadlines typed as timed_out (traced or not), one
+# pool.exec fault costs exactly one job, and the daemon survives a
+# poisoned response, a per-job deadline and hostile clients (raw bytes,
+# 100k-deep nesting, an oversize and an endless line) and still drains
+# clean. The
 # in-process chaos invariants live in tests/chaos.rs (part of
 # `make test`); this drives the same seams over argv and TCP.
 chaos:

@@ -10,7 +10,9 @@ end to end:
    line, and produces a jobs array identical to the fault-free run —
    twice, byte-for-byte (deterministic replay).
 2. Deadlines type, not hang: `--deadline-cycles 1` times out every job
-   (status "timed_out", exit 1 via the incomplete-suite gate).
+   (status "timed_out", exit 1 via the incomplete-suite gate) — and the
+   same with `--trace` on, which also writes a parseable trace: a traced
+   run is the same grid run, not a path around the deadline.
 3. Pool faults cost one job: an injected `pool.exec` failure yields
    exactly one "failed" slot, and the schedule replays identically.
 4. The daemon survives a fault schedule: with an injected
@@ -106,21 +108,26 @@ def batch_scenarios(bench_bin, out):
             f"cache-fault run {attempt} jobs array matches the fault-free run",
         )
 
-    # 2. A one-cycle deadline times out the whole suite, typed.
-    art = out / "deadline.json"
-    code, err = run(
-        bench_bin,
-        ["--smoke", "--threads", "2", "--deadline-cycles", "1", "--json", str(art)],
-        out,
-    )
-    check(code == 1, "deadline run exits 1 via the incomplete-suite gate")
-    check("suite row(s) failed" in err, "deadline run reports the failed rows")
-    timed = [j for j in jobs_of(art) if j["status"] == "timed_out"]
-    check(len(timed) == SMOKE_JOBS, "every job times out under a 1-cycle budget")
-    check(
-        all("deadline exceeded" in j["error"] for j in timed),
-        "timeouts carry the deadline error",
-    )
+    # 2. A one-cycle deadline times out the whole suite, typed — untraced
+    # and traced alike.
+    for tag, traced in (("deadline", False), ("deadline-traced", True)):
+        art = out / f"{tag}.json"
+        trace = out / f"{tag}.trace.json"
+        argv = ["--smoke", "--threads", "2", "--deadline-cycles", "1", "--json", str(art)]
+        if traced:
+            argv += ["--trace", str(trace)]
+        code, err = run(bench_bin, argv, out)
+        check(code == 1, f"{tag} run exits 1 via the incomplete-suite gate")
+        check("suite row(s) failed" in err, f"{tag} run reports the failed rows")
+        timed = [j for j in jobs_of(art) if j["status"] == "timed_out"]
+        check(len(timed) == SMOKE_JOBS, f"{tag}: every job times out under a 1-cycle budget")
+        check(
+            all("deadline exceeded" in j["error"] for j in timed),
+            f"{tag}: timeouts carry the deadline error",
+        )
+        if traced:
+            events = json.loads(trace.read_text())["traceEvents"]
+            check(isinstance(events, list), f"{tag}: the trace is written and parses")
 
     # 3. One pool.exec fault costs exactly one job; serial replay is
     # byte-identical (with >1 worker the fault ordinal races the

@@ -15,45 +15,38 @@
 //! `--cache DIR` (or `DMT_CACHE`) makes the sweep resumable and skips
 //! previously-completed points.
 
-use dmt_bench::{geomean_rows, RowOutcome, SEED};
+use dmt_bench::sweep::sweep_run;
+use dmt_bench::{geomean_rows, GridOptions, RowOutcome, SEED};
 use dmt_core::SystemConfig;
-use dmt_runner::RunnerArgs;
+use dmt_runner::{Cli, RunnerArgs, Shared};
+
+const CLI: Cli = Cli {
+    name: "ablate_inflight",
+    shared: &[
+        Shared::Threads,
+        Shared::Json,
+        Shared::Cache,
+        Shared::NoCache,
+        Shared::Progress,
+        Shared::Faults,
+        Shared::DeadlineCycles,
+    ],
+    flags: &[],
+    positionals: &[],
+};
 
 const WINDOWS: [u32; 7] = [64, 128, 256, 512, 1024, 2048, 4096];
 
 fn main() {
-    let args = RunnerArgs::from_env();
-    args.forbid_trace("ablate_inflight");
-    args.forbid_smoke("ablate_inflight");
-    let progress = args.progress_reporter();
-    let cache = args.cache_store();
-    let jobs: Vec<_> = WINDOWS
-        .iter()
-        .flat_map(|&w| {
-            let mut cfg = SystemConfig::default();
-            cfg.fabric.inflight_threads = w;
-            dmt_bench::suite_jobs(cfg, SEED, usize::MAX)
-        })
-        .collect();
-    let per_window = jobs.len() / WINDOWS.len();
-    let run = dmt_bench::run_jobs_pooled_limited(
-        jobs,
-        SEED,
-        args.effective_threads(),
-        Some(&progress),
-        cache.as_ref(),
-        args.deadline_cycles,
-    );
+    let opts = GridOptions::from_args(&RunnerArgs::from_env(&CLI));
+    let configure = |&w: &u32, cfg: &mut SystemConfig| cfg.fabric.inflight_threads = w;
+    let (run, points) = sweep_run(WINDOWS, SEED, configure, &opts);
 
     println!("Ablation: in-flight thread window\n");
     println!("{:>8} {:>12} {:>12}", "window", "dMT geomean", "MT geomean");
-    for (i, w) in WINDOWS.iter().enumerate() {
-        let lo = i * per_window;
-        let rows = RowOutcome::from_jobs(
-            &run.jobs[lo..lo + per_window],
-            &run.outcomes[lo..lo + per_window],
-        );
-        let (ok, skipped): (Vec<_>, Vec<_>) = rows.into_iter().partition(RowOutcome::complete);
+    for point in points {
+        let rows = point.rows.into_iter();
+        let (ok, skipped): (Vec<_>, Vec<_>) = rows.partition(RowOutcome::complete);
         let note = if skipped.is_empty() {
             String::new()
         } else {
@@ -62,14 +55,11 @@ fn main() {
         };
         println!(
             "{:>8} {:>11.2}x {:>11.2}x{}",
-            w,
+            point.label,
             geomean_rows(&ok, RowOutcome::dmt_speedup),
             geomean_rows(&ok, RowOutcome::mt_speedup),
             note,
         );
     }
-    run.write_artifact(&args, "ablate_inflight");
-    if let Some(c) = &cache {
-        c.report();
-    }
+    opts.finish(&run, "ablate_inflight");
 }

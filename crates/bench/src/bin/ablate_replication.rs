@@ -12,7 +12,14 @@
 use dmt_core::fabric::FabricMachine;
 use dmt_core::{compiler, SystemConfig};
 use dmt_kernels::suite;
-use dmt_runner::RunnerArgs;
+use dmt_runner::{Cli, RunnerArgs, Shared};
+
+const CLI: Cli = Cli {
+    name: "ablate_replication",
+    shared: &[Shared::Threads, Shared::Faults],
+    flags: &[],
+    positionals: &[],
+};
 
 struct Row {
     name: &'static str,
@@ -22,13 +29,7 @@ struct Row {
 }
 
 fn main() {
-    let args = RunnerArgs::from_env();
-    args.forbid_trace("ablate_replication");
-    args.forbid_deadline("ablate_replication");
-    args.forbid_smoke("ablate_replication");
-    args.forbid_json("ablate_replication");
-    args.forbid_progress("ablate_replication");
-    args.forbid_cache("ablate_replication");
+    let args = RunnerArgs::from_env(&CLI);
     let cfg = SystemConfig::default();
     let n = suite::all().len();
     let rows = dmt_runner::run_indexed(n, args.effective_threads(), |i| {

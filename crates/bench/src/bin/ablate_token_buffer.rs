@@ -9,9 +9,19 @@
 //! The 7 × 2 (buffer, kernel) grid runs on the `dmt-runner` pool
 //! (`--threads N`); output order is fixed by the grid, not by completion.
 
+use dmt_bench::{try_run_one, SEED};
+use dmt_core::common::RunLimits;
 use dmt_core::{compiler, Arch, SystemConfig};
 use dmt_kernels::{matmul::MatMul, reduce::Reduce, Benchmark};
-use dmt_runner::RunnerArgs;
+use dmt_obs::Obs;
+use dmt_runner::{Cli, RunnerArgs, Shared};
+
+const CLI: Cli = Cli {
+    name: "ablate_token_buffer",
+    shared: &[Shared::Threads, Shared::Faults],
+    flags: &[],
+    positionals: &[],
+};
 
 const BUFFERS: [u32; 7] = [2, 4, 8, 16, 32, 64, 128];
 
@@ -30,13 +40,7 @@ fn benches() -> [Box<dyn Benchmark>; 2] {
 }
 
 fn main() {
-    let args = RunnerArgs::from_env();
-    args.forbid_trace("ablate_token_buffer");
-    args.forbid_deadline("ablate_token_buffer");
-    args.forbid_smoke("ablate_token_buffer");
-    args.forbid_json("ablate_token_buffer");
-    args.forbid_progress("ablate_token_buffer");
-    args.forbid_cache("ablate_token_buffer");
+    let args = RunnerArgs::from_env(&CLI);
     let per_buffer = benches().len();
     let n = BUFFERS.len() * per_buffer;
     let rows = dmt_runner::run_indexed(n, args.effective_threads(), |i| {
@@ -52,7 +56,9 @@ fn main() {
             .filter(|&id| program.phases[0].graph.kind(id).comm().is_some())
             .count();
         let original = dmt_core::dfg::delta_stats::comm_sites(&kernel).len();
-        let report = dmt_bench::run_one(bench.as_ref(), Arch::DmtCgra, cfg, dmt_bench::SEED);
+        let (obs, limits) = (&mut Obs::disabled(), RunLimits::unlimited());
+        let report = try_run_one(bench.as_ref(), Arch::DmtCgra, cfg, SEED, obs, &limits)
+            .expect("runs at every size");
         Row {
             buffer: tb,
             kernel: bench.info().name,

@@ -11,7 +11,14 @@
 use dmt_core::common::geom::{Delta, Dim3};
 use dmt_core::common::ids::Addr;
 use dmt_core::{Arch, KernelBuilder, LaunchInput, Machine, MemImage, SystemConfig, Word};
-use dmt_runner::RunnerArgs;
+use dmt_runner::{Cli, RunnerArgs, Shared};
+
+const CLI: Cli = Cli {
+    name: "ablate_window",
+    shared: &[Shared::Threads, Shared::Faults],
+    flags: &[],
+    positionals: &[],
+};
 
 const WINDOWS: [u32; 8] = [2, 4, 8, 16, 32, 64, 128, 256];
 
@@ -40,13 +47,7 @@ struct Row {
 }
 
 fn main() {
-    let args = RunnerArgs::from_env();
-    args.forbid_trace("ablate_window");
-    args.forbid_deadline("ablate_window");
-    args.forbid_smoke("ablate_window");
-    args.forbid_json("ablate_window");
-    args.forbid_progress("ablate_window");
-    args.forbid_cache("ablate_window");
+    let args = RunnerArgs::from_env(&CLI);
     let n = 1024u32;
     let rows = dmt_runner::run_indexed(WINDOWS.len(), args.effective_threads(), |i| {
         let win = WINDOWS[i];

@@ -66,11 +66,13 @@
 //! comparable number. It is intended for local profiling and scheduled
 //! (non-gating) CI, not the push-path `bench-artifact` job.
 
-use dmt_bench::{run_jobs_observed, run_suite_pooled, suite_jobs, try_run_one, SEED};
+use dmt_bench::{run_grid, suite_jobs, try_run_one, GridOptions, SEED};
+use dmt_core::common::RunLimits;
 use dmt_core::{Arch, SystemConfig};
 use dmt_kernels::suite;
+use dmt_obs::Obs;
 use dmt_runner::artifact::{write_json_logged, Json};
-use dmt_runner::{Flag, RunnerArgs};
+use dmt_runner::{Cli, Flag, RunnerArgs, Shared};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -80,11 +82,18 @@ const BASELINE: &str = include_str!("../../baselines/hotpath_serial.json");
 /// Benchmarks in the smoke per-job set (the vendored baseline's scope).
 const SMOKE_BENCHES: usize = 3;
 
-/// Binary-specific flags, composing with the shared runner registry.
-const FLAGS: &[Flag] = &[
-    Flag::with_value("--iters", "N", "best-of-N timing repetitions (default 3)"),
-    Flag::switch("--full", "per-job coverage of the whole Table 3 suite"),
-];
+// A throughput benchmark is serial and uncached by construction (a cache
+// hit or a second worker would time the wrong thing), so none of those
+// runner flags is declared.
+const CLI: Cli = Cli {
+    name: "bench_hotpath",
+    shared: &[Shared::Json, Shared::Faults],
+    flags: &[
+        Flag::with_value("--iters", "N", "best-of-N timing repetitions (default 3)"),
+        Flag::switch("--full", "per-job coverage of the whole Table 3 suite"),
+    ],
+    positionals: &[],
+};
 
 struct Args {
     json: PathBuf,
@@ -93,19 +102,7 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let args = RunnerArgs::from_env_registry(FLAGS);
-    args.forbid_trace("bench_hotpath");
-    args.forbid_deadline("bench_hotpath");
-    // A throughput benchmark is serial and uncached by construction:
-    // a cache hit or a second worker would time the wrong thing.
-    args.forbid_threads("bench_hotpath");
-    args.forbid_cache("bench_hotpath");
-    args.forbid_progress("bench_hotpath");
-    args.forbid_smoke("bench_hotpath");
-    if let Some(first) = args.rest.first() {
-        eprintln!("error: unknown argument {first:?}");
-        std::process::exit(2);
-    }
+    let args = RunnerArgs::from_env(&CLI);
     let iters = match args.flag_value("--iters").map(str::parse::<u32>) {
         None => 3,
         Some(Ok(n)) if n > 0 => n,
@@ -147,7 +144,8 @@ fn main() {
             let mut cycles = 0u64;
             for _ in 0..args.iters {
                 let t = Instant::now();
-                let report = try_run_one(b.as_ref(), arch, cfg, SEED)
+                let (obs, limits) = (&mut Obs::disabled(), RunLimits::unlimited());
+                let report = try_run_one(b.as_ref(), arch, cfg, SEED, obs, &limits)
                     .unwrap_or_else(|e| panic!("{name} on {arch}: {e}"));
                 best_us = best_us.min(elapsed_us(t));
                 cycles = report.stats.cycles;
@@ -176,11 +174,14 @@ fn main() {
     // A fire-loop share estimate per fabric arch, from one untimed
     // observed pass over the smoke grid (profiling is excluded from every
     // timed measurement).
-    let (obs_run, observations) =
-        run_jobs_observed(suite_jobs(cfg, SEED, SMOKE_BENCHES), SEED, 1, false, true);
+    let profiled = GridOptions {
+        profile: true,
+        ..GridOptions::default()
+    };
+    let obs_run = run_grid(suite_jobs(cfg, SEED, SMOKE_BENCHES), SEED, &profiled);
     let mut arch_fires = [0u64; Arch::ALL.len()];
     let mut arch_sched = [0u64; Arch::ALL.len()];
-    for (spec, obs) in obs_run.jobs.iter().zip(&observations) {
+    for (spec, obs) in obs_run.jobs.iter().zip(&obs_run.observations) {
         let ai = Arch::ALL
             .iter()
             .position(|a| *a == spec.arch)
@@ -220,7 +221,11 @@ fn main() {
     let mut total_cycles = 0u64;
     for _ in 0..args.iters {
         let t = Instant::now();
-        let run = run_suite_pooled(cfg, SEED, SMOKE_BENCHES, 1, None, None);
+        let run = run_grid(
+            suite_jobs(cfg, SEED, SMOKE_BENCHES),
+            SEED,
+            &GridOptions::default(),
+        );
         total_us = total_us.min(elapsed_us(t));
         total_cycles = run
             .outcomes

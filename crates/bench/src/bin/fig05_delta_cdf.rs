@@ -7,7 +7,14 @@
 
 use dmt_bench::suite_comm_sites;
 use dmt_core::dfg::delta_stats::{cdf, fraction_within, DistanceMetric};
-use dmt_runner::{Json, RunnerArgs, SCHEMA_VERSION};
+use dmt_runner::{Cli, Json, RunnerArgs, Shared, SCHEMA_VERSION};
+
+const CLI: Cli = Cli {
+    name: "fig05_delta_cdf",
+    shared: &[Shared::Json, Shared::Faults],
+    flags: &[],
+    positionals: &[],
+};
 
 const METRICS: [(DistanceMetric, &str, &str); 2] = [
     (
@@ -23,13 +30,7 @@ const METRICS: [(DistanceMetric, &str, &str); 2] = [
 ];
 
 fn main() {
-    let args = RunnerArgs::from_env();
-    args.forbid_trace("fig05_delta_cdf");
-    args.forbid_deadline("fig05_delta_cdf");
-    args.forbid_smoke("fig05_delta_cdf");
-    args.forbid_threads("fig05_delta_cdf");
-    args.forbid_progress("fig05_delta_cdf");
-    args.forbid_cache("fig05_delta_cdf");
+    let args = RunnerArgs::from_env(&CLI);
     let sites = suite_comm_sites();
     println!(
         "Figure 5: CDF of transmission distances ({} communication sites, \

@@ -11,64 +11,39 @@
 //! content-addressed result cache — a warm rerun simulates nothing and
 //! prints the same bytes. `--trace PATH` (or `DMT_TRACE`) additionally
 //! exports a Chrome-trace/Perfetto JSON timeline of every run; tracing
-//! bypasses the cache, since a trace requires actually simulating.
+//! bypasses the cache, since a trace requires actually simulating, and
+//! composes with everything else (`--deadline-cycles`, `--progress`,
+//! `--faults`) — it is the same grid run with observation on.
 
-use dmt_bench::{
-    fig11_report, job_label, run_jobs_observed, run_suite_pooled_limited, suite_jobs, SEED,
-};
+use dmt_bench::{fig11_report, run_grid, suite_jobs, GridOptions, SEED};
 use dmt_core::SystemConfig;
-use dmt_obs::chrome_trace_json;
-use dmt_runner::{write_json, RunnerArgs};
+use dmt_runner::{Cli, RunnerArgs, Shared};
+
+const CLI: Cli = Cli {
+    name: "fig11_speedup",
+    shared: &[
+        Shared::Threads,
+        Shared::Json,
+        Shared::Cache,
+        Shared::NoCache,
+        Shared::Progress,
+        Shared::Smoke,
+        Shared::Trace,
+        Shared::Faults,
+        Shared::DeadlineCycles,
+    ],
+    flags: &[],
+    positionals: &[],
+};
 
 fn main() {
-    let args = RunnerArgs::from_env();
+    let args = RunnerArgs::from_env(&CLI);
     let take = if args.smoke { 3 } else { usize::MAX };
-    let threads = args.effective_threads();
-    let progress = args.progress_reporter();
-    let cache = args.cache_store();
-    let trace = args.trace_path();
-    let run = if let Some(path) = &trace {
-        // Observed runs bypass the limit-aware pool; a requested budget
-        // must not be silently dropped alongside them.
-        args.forbid_deadline("fig11_speedup --trace");
-        let jobs = suite_jobs(SystemConfig::default(), SEED, take);
-        let (run, observations) = run_jobs_observed(jobs, SEED, threads, true, false);
-        let named: Vec<(String, &dmt_obs::Tracer)> = run
-            .jobs
-            .iter()
-            .zip(&observations)
-            .map(|(spec, obs)| (job_label(spec), &obs.tracer))
-            .collect();
-        write_json(path, &chrome_trace_json(&named))
-            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-        let events: usize = observations.iter().map(|o| o.tracer.len()).sum();
-        let dropped: u64 = observations.iter().map(|o| o.tracer.dropped()).sum();
-        eprintln!(
-            "[dmt-runner] wrote {} ({} events, {} dropped) — open in chrome://tracing or Perfetto",
-            path.display(),
-            events,
-            dropped,
-        );
-        run
-    } else {
-        run_suite_pooled_limited(
-            SystemConfig::default(),
-            SEED,
-            take,
-            threads,
-            Some(&progress),
-            cache.as_ref(),
-            args.deadline_cycles,
-        )
-    };
+    let opts = GridOptions::from_args(&args);
+    let run = run_grid(suite_jobs(SystemConfig::default(), SEED, take), SEED, &opts);
     let rows = run.rows();
     print!("{}", fig11_report(&rows));
     println!("\nSee EXPERIMENTS.md for the paper-vs-measured discussion.");
-    run.write_artifact(&args, "fig11_speedup");
-    if trace.is_none() {
-        if let Some(c) = &cache {
-            c.report();
-        }
-    }
+    opts.finish(&run, "fig11_speedup");
     dmt_bench::exit_on_incomplete(&rows);
 }

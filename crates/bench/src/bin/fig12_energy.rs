@@ -6,31 +6,33 @@
 //! artifact, `--smoke` runs the first three benchmarks, `--cache DIR`
 //! (or `DMT_CACHE`) serves completed jobs from the result cache.
 
-use dmt_bench::{fig12_report, run_suite_pooled_limited, SEED};
+use dmt_bench::{fig12_report, run_grid, suite_jobs, GridOptions, SEED};
 use dmt_core::SystemConfig;
-use dmt_runner::RunnerArgs;
+use dmt_runner::{Cli, RunnerArgs, Shared};
+
+const CLI: Cli = Cli {
+    name: "fig12_energy",
+    shared: &[
+        Shared::Threads,
+        Shared::Json,
+        Shared::Cache,
+        Shared::NoCache,
+        Shared::Progress,
+        Shared::Smoke,
+        Shared::Faults,
+        Shared::DeadlineCycles,
+    ],
+    flags: &[],
+    positionals: &[],
+};
 
 fn main() {
-    let args = RunnerArgs::from_env();
-    args.forbid_trace("fig12_energy");
+    let args = RunnerArgs::from_env(&CLI);
     let take = if args.smoke { 3 } else { usize::MAX };
-    let threads = args.effective_threads();
-    let progress = args.progress_reporter();
-    let cache = args.cache_store();
-    let run = run_suite_pooled_limited(
-        SystemConfig::default(),
-        SEED,
-        take,
-        threads,
-        Some(&progress),
-        cache.as_ref(),
-        args.deadline_cycles,
-    );
+    let opts = GridOptions::from_args(&args);
+    let run = run_grid(suite_jobs(SystemConfig::default(), SEED, take), SEED, &opts);
     let rows = run.rows();
     print!("{}", fig12_report(&rows));
-    run.write_artifact(&args, "fig12_energy");
-    if let Some(c) = &cache {
-        c.report();
-    }
+    opts.finish(&run, "fig12_energy");
     dmt_bench::exit_on_incomplete(&rows);
 }

@@ -9,19 +9,18 @@
 
 use dmt_core::dfg::pretty;
 use dmt_kernels::suite;
-use dmt_runner::RunnerArgs;
+use dmt_runner::{Cli, RunnerArgs, Shared};
+
+// The runner flags are meaningless for a one-graph dump.
+const CLI: Cli = Cli {
+    name: "kernel_dot",
+    shared: &[Shared::Faults],
+    flags: &[],
+    positionals: &["BENCH", "VARIANT"],
+};
 
 fn main() {
-    // Shared-registry parsing for uniform --help and flag rejection; the
-    // runner flags themselves are meaningless for a one-graph dump.
-    let args = RunnerArgs::from_env();
-    args.forbid_trace("kernel_dot");
-    args.forbid_deadline("kernel_dot");
-    args.forbid_threads("kernel_dot");
-    args.forbid_json("kernel_dot");
-    args.forbid_cache("kernel_dot");
-    args.forbid_progress("kernel_dot");
-    args.forbid_smoke("kernel_dot");
+    let args = RunnerArgs::from_env(&CLI);
     let name = args.rest.first().map(String::as_str).unwrap_or("scan");
     let variant = args.rest.get(1).map(String::as_str).unwrap_or("dmt");
     let Some(bench) = suite::all()

@@ -20,27 +20,27 @@
 //! for any `--threads N` — per-job observation merges by job index, and
 //! the rankings are total-ordered. Profiling bypasses the result cache
 //! by construction (a profile requires actually simulating), so
-//! `--cache` is rejected.
+//! `--cache` is not declared.
 
-use dmt_bench::{profile_artifact, profile_report, run_jobs_observed, suite_jobs, SEED};
+use dmt_bench::{profile_artifact, profile_report, run_grid, suite_jobs, GridOptions, SEED};
 use dmt_core::SystemConfig;
 use dmt_runner::artifact::write_json_logged;
-use dmt_runner::{Flag, RunnerArgs};
+use dmt_runner::{Cli, Flag, RunnerArgs, Shared};
 use std::path::PathBuf;
 
-/// Binary-specific flags, composing with the shared runner registry.
-const FLAGS: &[Flag] = &[Flag::with_value(
-    "--top",
-    "K",
-    "rows per ranking (default 10)",
-)];
+const CLI: Cli = Cli {
+    name: "profile_hotspots",
+    shared: &[Shared::Threads, Shared::Json, Shared::Smoke, Shared::Faults],
+    flags: &[Flag::with_value(
+        "--top",
+        "K",
+        "rows per ranking (default 10)",
+    )],
+    positionals: &[],
+};
 
 fn main() {
-    let args = RunnerArgs::from_env_registry(FLAGS);
-    args.forbid_trace("profile_hotspots");
-    args.forbid_deadline("profile_hotspots");
-    args.forbid_cache("profile_hotspots");
-    args.forbid_progress("profile_hotspots");
+    let args = RunnerArgs::from_env(&CLI);
     let top = match args.flag_value("--top").map(str::parse::<usize>) {
         None => 10,
         Some(Ok(k)) if k > 0 => k,
@@ -50,13 +50,15 @@ fn main() {
         }
     };
     let take = if args.smoke { 3 } else { usize::MAX };
-    let threads = args.effective_threads();
-    let jobs = suite_jobs(SystemConfig::default(), SEED, take);
-    let (run, observations) = run_jobs_observed(jobs, SEED, threads, false, true);
-    print!("{}", profile_report(&run, &observations, top));
+    let opts = GridOptions {
+        profile: true,
+        ..GridOptions::from_args(&args)
+    };
+    let run = run_grid(suite_jobs(SystemConfig::default(), SEED, take), SEED, &opts);
+    print!("{}", profile_report(&run, top));
     let path = args
         .json
         .unwrap_or_else(|| PathBuf::from("artifacts/BENCH_profile.json"));
-    write_json_logged(&path, &profile_artifact(&run, &observations, top));
+    write_json_logged(&path, &profile_artifact(&run, top));
     dmt_bench::exit_on_incomplete(&run.rows());
 }

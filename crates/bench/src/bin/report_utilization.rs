@@ -17,33 +17,34 @@
 //! output; `--json PATH` records every job (schema v2: per-job `"phases"`
 //! arrays ride along).
 
-use dmt_bench::{run_suite_pooled_limited, RowOutcome, SEED};
+use dmt_bench::{run_grid, suite_jobs, GridOptions, RowOutcome, SEED};
 use dmt_core::{Arch, EnergyModel, SystemConfig};
-use dmt_runner::{Flag, JobMetrics, RunnerArgs};
+use dmt_runner::{Cli, Flag, JobMetrics, RunnerArgs, Shared};
 
-/// Binary-specific flags, composing with the shared runner registry.
-const FLAGS: &[Flag] = &[Flag::switch(
-    "--per-phase",
-    "phase-by-phase utilization and energy for multi-phase kernels",
-)];
+const CLI: Cli = Cli {
+    name: "report_utilization",
+    shared: &[
+        Shared::Threads,
+        Shared::Json,
+        Shared::Cache,
+        Shared::NoCache,
+        Shared::Progress,
+        Shared::Faults,
+        Shared::DeadlineCycles,
+    ],
+    flags: &[Flag::switch(
+        "--per-phase",
+        "phase-by-phase utilization and energy for multi-phase kernels",
+    )],
+    positionals: &[],
+};
 
 fn main() {
-    let args = RunnerArgs::from_env_registry(FLAGS);
-    args.forbid_trace("report_utilization");
-    args.forbid_smoke("report_utilization");
+    let args = RunnerArgs::from_env(&CLI);
     let per_phase = args.has_flag("--per-phase");
-    let progress = args.progress_reporter();
-    let cache = args.cache_store();
+    let opts = GridOptions::from_args(&args);
     let cfg = SystemConfig::default();
-    let run = run_suite_pooled_limited(
-        cfg,
-        SEED,
-        usize::MAX,
-        args.effective_threads(),
-        Some(&progress),
-        cache.as_ref(),
-        args.deadline_cycles,
-    );
+    let run = run_grid(suite_jobs(cfg, SEED, usize::MAX), SEED, &opts);
     let grid_units = f64::from(cfg.grid.total_units());
     let lanes = f64::from(cfg.gpu.warp_width);
     println!("Functional-unit utilization (peak: SM = 32 lanes, CGRA = 140 units)\n");
@@ -81,10 +82,7 @@ fn main() {
     if per_phase {
         print_per_phase(&rows, &cfg, lanes, grid_units);
     }
-    run.write_artifact(&args, "report_utilization");
-    if let Some(c) = &cache {
-        c.report();
-    }
+    opts.finish(&run, "report_utilization");
     dmt_bench::exit_on_incomplete(&rows);
 }
 

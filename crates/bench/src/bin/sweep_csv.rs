@@ -16,57 +16,49 @@
 //! points are served from the result cache, so a killed sweep re-executes
 //! only its missing jobs.
 
-use dmt_bench::sweep::{skipped, sweep_run_limited, to_csv, SweepPoint};
-use dmt_bench::SuiteRun;
-use dmt_bench::SEED;
-use dmt_runner::RunnerArgs;
+use dmt_bench::sweep::{skipped, sweep_run, to_csv};
+use dmt_bench::{GridOptions, SEED};
+use dmt_runner::{Cli, RunnerArgs, Shared};
+
+const CLI: Cli = Cli {
+    name: "sweep_csv",
+    shared: &[
+        Shared::Threads,
+        Shared::Json,
+        Shared::Cache,
+        Shared::NoCache,
+        Shared::Progress,
+        Shared::Faults,
+        Shared::DeadlineCycles,
+    ],
+    flags: &[],
+    positionals: &["SWEEP"],
+};
 
 fn main() {
-    let args = RunnerArgs::from_env();
-    args.forbid_trace("sweep_csv");
-    args.forbid_smoke("sweep_csv");
-    let threads = args.effective_threads();
-    let progress = args.progress_reporter();
-    let cache = args.cache_store();
+    let args = RunnerArgs::from_env(&CLI);
+    let opts = GridOptions::from_args(&args);
     let which = args.rest.first().map_or("baseline", String::as_str);
-    let run = |values: Vec<u32>,
-               f: &mut dyn FnMut(&u32, &mut dmt_core::SystemConfig)|
-     -> (SuiteRun, Vec<SweepPoint>) {
-        sweep_run_limited(
-            values,
-            SEED,
-            f,
-            threads,
-            Some(&progress),
-            cache.as_ref(),
-            args.deadline_cycles,
-        )
-    };
     let ((run, points), x_name) = match which {
         "token_buffer" => (
-            run(vec![4, 8, 16, 32, 64], &mut |&tb, cfg| {
-                cfg.fabric.token_buffer_entries = tb;
-            }),
+            sweep_run(
+                [4u32, 8, 16, 32, 64],
+                SEED,
+                |&tb, cfg| cfg.fabric.token_buffer_entries = tb,
+                &opts,
+            ),
             "token_buffer",
         ),
         "inflight" => (
-            run(vec![128, 512, 2048], &mut |&w, cfg| {
-                cfg.fabric.inflight_threads = w;
-            }),
+            sweep_run(
+                [128u32, 512, 2048],
+                SEED,
+                |&w, cfg| cfg.fabric.inflight_threads = w,
+                &opts,
+            ),
             "inflight_threads",
         ),
-        "baseline" => (
-            sweep_run_limited(
-                ["table2"],
-                SEED,
-                &mut |_, _| {},
-                threads,
-                Some(&progress),
-                cache.as_ref(),
-                args.deadline_cycles,
-            ),
-            "config",
-        ),
+        "baseline" => (sweep_run(["table2"], SEED, |_, _| {}, &opts), "config"),
         other => {
             eprintln!("unknown sweep {other}; use token_buffer | inflight | baseline");
             std::process::exit(1);
@@ -76,8 +68,5 @@ fn main() {
     for (x, bench, arch, err) in skipped(&points) {
         eprintln!("[sweep] skipped {bench} at {x_name}={x} on {arch}: {err}");
     }
-    run.write_artifact(&args, &format!("sweep_csv:{which}"));
-    if let Some(c) = &cache {
-        c.report();
-    }
+    opts.finish(&run, &format!("sweep_csv:{which}"));
 }

@@ -1,19 +1,18 @@
 //! Table 2 — the simulated system configuration.
 
 use dmt_core::SystemConfig;
-use dmt_runner::RunnerArgs;
+use dmt_runner::{Cli, RunnerArgs, Shared};
+
+// A static table has no grid to thread, cache or record.
+const CLI: Cli = Cli {
+    name: "table2_config",
+    shared: &[Shared::Faults],
+    flags: &[],
+    positionals: &[],
+};
 
 fn main() {
-    // Shared-registry parsing for uniform --help and flag rejection; a
-    // static table has no grid to thread, cache or record.
-    let args = RunnerArgs::from_env();
-    args.forbid_trace("table2_config");
-    args.forbid_deadline("table2_config");
-    args.forbid_threads("table2_config");
-    args.forbid_json("table2_config");
-    args.forbid_cache("table2_config");
-    args.forbid_progress("table2_config");
-    args.forbid_smoke("table2_config");
+    let _ = RunnerArgs::from_env(&CLI);
     println!("Table 2: dMT-CGRA system configuration\n");
     print!("{}", SystemConfig::default().to_table());
     let cfg = SystemConfig::default();

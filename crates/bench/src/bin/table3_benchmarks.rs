@@ -2,16 +2,17 @@
 //! as a versioned JSON document (current schema_version, suite
 //! `table3_benchmarks`).
 
-use dmt_runner::{Json, RunnerArgs, SCHEMA_VERSION};
+use dmt_runner::{Cli, Json, RunnerArgs, Shared, SCHEMA_VERSION};
+
+const CLI: Cli = Cli {
+    name: "table3_benchmarks",
+    shared: &[Shared::Json, Shared::Faults],
+    flags: &[],
+    positionals: &[],
+};
 
 fn main() {
-    let args = RunnerArgs::from_env();
-    args.forbid_trace("table3_benchmarks");
-    args.forbid_deadline("table3_benchmarks");
-    args.forbid_smoke("table3_benchmarks");
-    args.forbid_threads("table3_benchmarks");
-    args.forbid_progress("table3_benchmarks");
-    args.forbid_cache("table3_benchmarks");
+    let args = RunnerArgs::from_env(&CLI);
     println!("Table 3: benchmarks used to evaluate the system\n");
     print!("{}", dmt_kernels::suite::table3());
     if let Some(path) = &args.json {

@@ -14,15 +14,16 @@
 //! | `ablate_replication` | §3 — graph replication on/off |
 //! | `ablate_window` | §3.2 — transmission-window sweep |
 //!
-//! Criterion benches under `benches/` wrap the same harness entry points.
-//!
-//! Every experiment binary accepts the shared runner flags (`--threads N`
-//! / `DMT_THREADS`, `--json PATH`, `--progress`, `--smoke` where
-//! supported): the grid of `(benchmark, arch, config, seed)` points is
-//! expressed as `dmt-runner` jobs and executed on its shared-nothing
-//! worker pool, with [`execute_job`] as the one bridge back into the
-//! leaf [`run_one`]/[`try_run_one`] API. Aggregation is by job index, so
-//! stdout and artifact contents are identical for any thread count.
+//! Every binary declares the runner flags it accepts (`dmt_runner::Cli`;
+//! anything else is rejected at parse time). The grid of `(benchmark,
+//! arch, config, seed)` points is expressed as `dmt-runner` jobs and
+//! goes through the one grid runner, [`run_grid`], whose [`GridOptions`]
+//! — threads, progress, cache, deadline, trace/profile observation —
+//! are built from the parsed flags in one place
+//! ([`GridOptions::from_args`]) and compose on one `ExecPlan` path.
+//! [`execute_job`] is the bridge back into the leaf [`try_run_one`].
+//! Aggregation is by job index, so stdout and artifact contents are
+//! identical for any thread count.
 
 pub mod sweep;
 
@@ -30,81 +31,34 @@ use dmt_core::common::RunLimits;
 use dmt_core::{experiment, Arch, Machine, RunReport, SystemConfig};
 use dmt_kernels::{suite, Benchmark};
 use dmt_obs::Obs;
-use dmt_runner::{Artifact, Cache, JobMetrics, JobOutcome, JobSpec, Json, Progress, RunnerArgs};
+use dmt_runner::{
+    Artifact, Cache, ExecPlan, JobMetrics, JobOutcome, JobSpec, Json, Progress, RunnerArgs,
+};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// Seed used by every headline experiment (results are deterministic).
 pub const SEED: u64 = 42;
 
 /// Runs one benchmark on one architecture, validating the output against
-/// the CPU reference.
-///
-/// # Panics
-///
-/// Panics when simulation or validation fails — experiments must not
-/// silently report numbers from wrong results.
-#[must_use]
-pub fn run_one(bench: &dyn Benchmark, arch: Arch, cfg: SystemConfig, seed: u64) -> RunReport {
-    try_run_one(bench, arch, cfg, seed)
-        .unwrap_or_else(|e| panic!("{} on {arch}: {e}", bench.info().name))
-}
-
-/// Like [`run_one`], but surfaces simulation errors — e.g. a swept config
-/// on which a kernel legitimately cannot compile — instead of panicking.
-/// A *wrong result* still panics: experiments must never silently report
-/// numbers from incorrect runs.
+/// the CPU reference. The engine reports its event stream into `obs`
+/// (`Obs::disabled()` for none; observed runs compute the same results)
+/// and checks `limits` — the simulated-cycle deadline and the
+/// cancellation token — at every cycle boundary
+/// (`RunLimits::unlimited()` for none).
 ///
 /// # Errors
 ///
-/// Returns the compiler or machine error for infeasible configurations.
+/// Returns the compiler or machine error for a configuration on which
+/// the kernel legitimately cannot run (e.g. a swept-out design point),
+/// and `TimedOut`/`Cancelled` from the limits.
 ///
 /// # Panics
 ///
-/// Panics when the run completes but output validation fails.
+/// Panics when the run completes but output validation fails:
+/// experiments must never silently report numbers from wrong results.
+/// (A cut-short run has no result to validate.)
 pub fn try_run_one(
-    bench: &dyn Benchmark,
-    arch: Arch,
-    cfg: SystemConfig,
-    seed: u64,
-) -> dmt_core::Result<RunReport> {
-    try_run_one_observed(bench, arch, cfg, seed, &mut Obs::disabled())
-}
-
-/// [`try_run_one`] with an observation handle: the engine reports its
-/// event stream into `obs` (see `dmt_obs`). Output validation is
-/// unchanged — observed runs compute the same results.
-///
-/// # Errors
-///
-/// As [`try_run_one`].
-///
-/// # Panics
-///
-/// As [`try_run_one`].
-pub fn try_run_one_observed(
-    bench: &dyn Benchmark,
-    arch: Arch,
-    cfg: SystemConfig,
-    seed: u64,
-    obs: &mut Obs,
-) -> dmt_core::Result<RunReport> {
-    try_run_one_limited(bench, arch, cfg, seed, obs, &RunLimits::unlimited())
-}
-
-/// [`try_run_one_observed`] under cooperative run limits: the engines
-/// check the simulated-cycle deadline and the cancellation token at
-/// every cycle boundary and return `Error::TimedOut`/`Error::Cancelled`
-/// instead of running to completion. Output validation only runs for
-/// completed runs (a cut-short run has no result to validate).
-///
-/// # Errors
-///
-/// As [`try_run_one`], plus `TimedOut`/`Cancelled` from the limits.
-///
-/// # Panics
-///
-/// As [`try_run_one`].
-pub fn try_run_one_limited(
     bench: &dyn Benchmark,
     arch: Arch,
     cfg: SystemConfig,
@@ -147,8 +101,7 @@ pub fn execute_job(spec: &JobSpec) -> JobOutcome {
     execute_job_observed(spec, &mut Obs::disabled())
 }
 
-/// [`execute_job`] with an observation handle (see
-/// [`try_run_one_observed`]).
+/// [`execute_job`] with an observation handle (see [`try_run_one`]).
 ///
 /// # Panics
 ///
@@ -177,7 +130,7 @@ fn execute_job_inner(spec: &JobSpec, obs: &mut Obs, limits: &RunLimits<'_>) -> J
         .into_iter()
         .find(|b| b.info().name == spec.bench)
         .unwrap_or_else(|| panic!("unknown benchmark {:?}", spec.bench));
-    match try_run_one_limited(bench.as_ref(), spec.arch, spec.cfg, spec.seed, obs, limits) {
+    match try_run_one(bench.as_ref(), spec.arch, spec.cfg, spec.seed, obs, limits) {
         Ok(report) => JobOutcome::completed(JobMetrics::from_report(&report)),
         Err(e @ dmt_core::Error::TimedOut { .. }) => JobOutcome::TimedOut(e.to_string()),
         Err(e @ dmt_core::Error::Cancelled { .. }) => JobOutcome::Failed(e.to_string()),
@@ -299,14 +252,19 @@ impl RowOutcome {
     }
 }
 
-/// A completed pool run: the grid, its outcomes and the run metadata an
-/// artifact records.
-#[derive(Debug, Clone)]
+/// A completed grid run: the jobs, their outcomes and observations, and
+/// the run metadata an artifact records.
+#[derive(Debug)]
 pub struct SuiteRun {
     /// The job grid, in submission order.
     pub jobs: Vec<JobSpec>,
     /// Per-job outcomes, index-aligned with `jobs`.
     pub outcomes: Vec<JobOutcome>,
+    /// Per-job observation handles, index-aligned with `jobs`: what the
+    /// engine reported under [`GridOptions::trace`]/[`GridOptions::profile`].
+    /// A handle is empty when neither was asked for and when the job
+    /// never reached the engine (an injected fault, a caught panic).
+    pub observations: Vec<Obs>,
     /// Worker threads used.
     pub threads: usize,
     /// Wall-clock of the pool run, in milliseconds.
@@ -335,113 +293,138 @@ impl SuiteRun {
             self.outcomes.clone(),
         )
     }
+}
 
-    /// The shared `--json` epilogue of every grid-shaped binary: when the
-    /// flag was given, writes the artifact and logs one uniform stderr
-    /// line.
+/// Everything a grid run can be asked for, in one value: built from the
+/// parsed command line by [`GridOptions::from_args`], or field by field
+/// (`..GridOptions::default()` is the serial, silent, uncached,
+/// unlimited, unobserved run).
+#[derive(Debug, Default)]
+pub struct GridOptions {
+    /// Worker threads (`0` runs serially, like `1`).
+    pub threads: usize,
+    /// Live per-job stderr ticker (disabled by default).
+    pub progress: Progress,
+    /// Result cache: hits skip simulation, misses run
+    /// longest-expected-first and are persisted as they complete (killed
+    /// runs resume); every aggregate is byte-identical to the uncached
+    /// run. Left untouched by an observed run.
+    pub cache: Option<Cache>,
+    /// Per-job simulated-cycle budget: a job that reaches it ends as
+    /// [`JobOutcome::TimedOut`] and is never cached (the budget is not
+    /// part of the job hash).
+    pub deadline_cycles: Option<u64>,
+    /// Trace every job; [`GridOptions::finish`] exports the Chrome-trace
+    /// JSON here.
+    pub trace: Option<PathBuf>,
+    /// Attach the hot-spot profiler to every job.
+    pub profile: bool,
+    /// Where [`GridOptions::finish`] writes the versioned artifact.
+    pub json: Option<PathBuf>,
+}
+
+impl GridOptions {
+    /// The options a binary's command line asks for — the one place
+    /// runner flags (and the environment defaults of the declared ones)
+    /// turn into run behaviour.
+    #[must_use]
+    pub fn from_args(args: &RunnerArgs) -> GridOptions {
+        GridOptions {
+            threads: args.effective_threads(),
+            progress: args.progress_reporter(),
+            cache: args.cache_store(),
+            deadline_cycles: args.deadline_cycles,
+            trace: args.trace_path(),
+            profile: false,
+            json: args.json.clone(),
+        }
+    }
+
+    /// The cache this run reads and fills: none when observed — a trace
+    /// or a profile means simulating.
+    fn cache_in_use(&self) -> Option<&Cache> {
+        self.cache
+            .as_ref()
+            .filter(|_| self.trace.is_none() && !self.profile)
+    }
+
+    /// The shared epilogue of every grid-shaped binary: exports the
+    /// Chrome trace when tracing, writes the `--json` artifact when
+    /// asked, and reports the cache's hit/miss line when it was used —
+    /// each with one uniform stderr line.
     ///
     /// # Panics
     ///
-    /// Panics when the artifact cannot be written — a requested recording
+    /// Panics when a file cannot be written — a requested recording
     /// that fails must not exit 0.
-    pub fn write_artifact(&self, args: &RunnerArgs, suite: &str) {
-        if let Some(path) = &args.json {
-            self.artifact(suite)
+    pub fn finish(&self, run: &SuiteRun, suite: &str) {
+        if let Some(path) = &self.trace {
+            let named: Vec<(String, &dmt_obs::Tracer)> = run
+                .jobs
+                .iter()
+                .zip(&run.observations)
+                .map(|(spec, obs)| (job_label(spec), &obs.tracer))
+                .collect();
+            dmt_runner::write_json(path, &dmt_obs::chrome_trace_json(&named))
+                .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+            eprintln!(
+                "[dmt-runner] wrote {} ({} events, {} dropped) — open in chrome://tracing or Perfetto",
+                path.display(),
+                run.observations.iter().map(|o| o.tracer.len()).sum::<usize>(),
+                run.observations.iter().map(|o| o.tracer.dropped()).sum::<u64>(),
+            );
+        }
+        if let Some(path) = &self.json {
+            run.artifact(suite)
                 .write(path)
                 .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
             eprintln!(
                 "[dmt-runner] wrote {} ({} jobs, {} threads, {} ms)",
                 path.display(),
-                self.jobs.len(),
-                self.threads,
-                self.wall_ms
+                run.jobs.len(),
+                run.threads,
+                run.wall_ms
             );
+        }
+        if let Some(cache) = self.cache_in_use() {
+            cache.report();
         }
     }
 }
 
-/// Executes an arbitrary job grid on the worker pool (wall-clock
-/// measured, progress optional). With a [`Cache`], hits skip simulation,
-/// misses run longest-expected-first and are persisted as they complete
-/// (killed runs resume), and every aggregate — stdout, artifacts — is
-/// byte-identical to the uncached run. The building block behind every
-/// experiment binary; [`run_suite_pooled`] is the common suite-shaped
-/// case.
+/// Executes a job grid — the one path behind every experiment binary.
+/// Always an `ExecPlan`, so every option composes with every other:
+/// outcomes land by job index for any thread count, a panicking or
+/// fault-injected job costs exactly its own slot, the deadline types
+/// overruns as `timed_out`, and progress ticks per executed job, traced
+/// or not. Each job gets its own [`Obs`] handle on exactly one worker,
+/// returned index-aligned in [`SuiteRun::observations`].
 #[must_use]
-pub fn run_jobs_pooled(
-    jobs: Vec<JobSpec>,
-    seed: u64,
-    threads: usize,
-    progress: Option<&Progress>,
-    cache: Option<&Cache>,
-) -> SuiteRun {
-    run_jobs_pooled_limited(jobs, seed, threads, progress, cache, None)
-}
-
-/// [`run_jobs_pooled`] with an optional per-job simulated-cycle budget
-/// (`--deadline-cycles`): jobs whose simulation reaches the budget end
-/// as [`JobOutcome::TimedOut`] instead of running on, and are never
-/// cached (the budget is not part of the job hash). `None` is exactly
-/// [`run_jobs_pooled`].
-#[must_use]
-pub fn run_jobs_pooled_limited(
-    jobs: Vec<JobSpec>,
-    seed: u64,
-    threads: usize,
-    progress: Option<&Progress>,
-    cache: Option<&Cache>,
-    deadline_cycles: Option<u64>,
-) -> SuiteRun {
+pub fn run_grid(jobs: Vec<JobSpec>, seed: u64, opts: &GridOptions) -> SuiteRun {
+    let (trace, profile) = (opts.trace.is_some(), opts.profile);
+    let threads = opts.threads.max(1);
     let start = Instant::now();
-    let outcomes = dmt_runner::ExecPlan::new(&jobs)
+    let (outcomes, observations) = ExecPlan::new(&jobs)
         .threads(threads)
-        .progress(progress)
-        .cache(cache)
-        .deadline_cycles(deadline_cycles)
-        .run_limited(execute_job_limited);
+        .progress(Some(&opts.progress))
+        .cache(opts.cache_in_use())
+        .deadline_cycles(opts.deadline_cycles)
+        .run_with(|spec, limits| {
+            let mut obs = Obs::new(trace, profile);
+            let outcome = execute_job_inner(spec, &mut obs, limits);
+            (outcome, obs)
+        })
+        .into_iter()
+        .map(|(outcome, obs)| (outcome, obs.unwrap_or_else(|| Obs::new(trace, profile))))
+        .unzip();
     SuiteRun {
         jobs,
         outcomes,
+        observations,
         threads,
         wall_ms: u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX),
         seed,
     }
-}
-
-/// Executes a job grid with per-job observation: every job gets its own
-/// [`Obs`] handle (tracing and/or profiling per the flags) and the
-/// handles are returned index-aligned with the outcomes, for any thread
-/// count — `run_indexed` aggregates by job index, and each handle lives
-/// on exactly one worker. Observation bypasses the [`Cache`]
-/// deliberately: tracing a run means actually running it.
-#[must_use]
-pub fn run_jobs_observed(
-    jobs: Vec<JobSpec>,
-    seed: u64,
-    threads: usize,
-    trace: bool,
-    profile: bool,
-) -> (SuiteRun, Vec<Obs>) {
-    let start = Instant::now();
-    let mut pairs = dmt_runner::run_indexed(jobs.len(), threads, |i| {
-        let mut obs = Obs::new(trace, profile);
-        let outcome = execute_job_observed(&jobs[i], &mut obs);
-        (outcome, obs)
-    });
-    let mut outcomes = Vec::with_capacity(pairs.len());
-    let mut observations = Vec::with_capacity(pairs.len());
-    for (outcome, obs) in pairs.drain(..) {
-        outcomes.push(outcome);
-        observations.push(obs);
-    }
-    let run = SuiteRun {
-        jobs,
-        outcomes,
-        threads,
-        wall_ms: u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX),
-        seed,
-    };
-    (run, observations)
 }
 
 /// A job's stable label in observation artifacts: `bench/arch`.
@@ -456,7 +439,7 @@ pub fn job_label(spec: &JobSpec) -> String {
 /// thread counts and hosts; comparisons (goldens, cross-thread checks)
 /// should render only that part.
 #[must_use]
-pub fn profile_artifact(run: &SuiteRun, observations: &[Obs], top_k: usize) -> Json {
+pub fn profile_artifact(run: &SuiteRun, top_k: usize) -> Json {
     Json::obj()
         .with("profile_schema_version", 1u64)
         .with("suite", "profile")
@@ -465,7 +448,7 @@ pub fn profile_artifact(run: &SuiteRun, observations: &[Obs], top_k: usize) -> J
             Json::Arr(
                 run.jobs
                     .iter()
-                    .zip(observations)
+                    .zip(&run.observations)
                     .map(|(spec, obs)| {
                         Json::obj()
                             .with("job", job_label(spec))
@@ -488,11 +471,11 @@ pub fn profile_artifact(run: &SuiteRun, observations: &[Obs], top_k: usize) -> J
 /// thread count (rankings are total-ordered; see
 /// [`dmt_obs::RunProfile::top_nodes`]).
 #[must_use]
-pub fn profile_report(run: &SuiteRun, observations: &[Obs], k: usize) -> String {
+pub fn profile_report(run: &SuiteRun, k: usize) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
     let _ = writeln!(s, "Hot-spot profile (top {k} per job, seed {})", run.seed);
-    for (spec, obs) in run.jobs.iter().zip(observations) {
+    for (spec, obs) in run.jobs.iter().zip(&run.observations) {
         let p = &obs.profile;
         let _ = writeln!(s, "\n== {} ==", job_label(spec));
         let _ = writeln!(
@@ -525,43 +508,6 @@ pub fn profile_report(run: &SuiteRun, observations: &[Obs], k: usize) -> String 
         }
     }
     s
-}
-
-/// Runs the first `take` Table 3 benchmarks on all three machines via
-/// the worker pool. Infeasible points are annotated in the outcomes, not
-/// panicked on — headline binaries render them as such.
-#[must_use]
-pub fn run_suite_pooled(
-    cfg: SystemConfig,
-    seed: u64,
-    take: usize,
-    threads: usize,
-    progress: Option<&Progress>,
-    cache: Option<&Cache>,
-) -> SuiteRun {
-    run_jobs_pooled(suite_jobs(cfg, seed, take), seed, threads, progress, cache)
-}
-
-/// [`run_suite_pooled`] with an optional per-job simulated-cycle budget;
-/// see [`run_jobs_pooled_limited`].
-#[must_use]
-pub fn run_suite_pooled_limited(
-    cfg: SystemConfig,
-    seed: u64,
-    take: usize,
-    threads: usize,
-    progress: Option<&Progress>,
-    cache: Option<&Cache>,
-    deadline_cycles: Option<u64>,
-) -> SuiteRun {
-    run_jobs_pooled_limited(
-        suite_jobs(cfg, seed, take),
-        seed,
-        threads,
-        progress,
-        cache,
-        deadline_cycles,
-    )
 }
 
 /// The headline binaries' shared failure policy: they run the *default*
@@ -718,6 +664,11 @@ pub fn suite_comm_sites() -> Vec<dmt_core::dfg::delta_stats::CommSite> {
 mod tests {
     use super::*;
 
+    fn run_one(bench: &dyn Benchmark, arch: Arch, cfg: SystemConfig, seed: u64) -> RunReport {
+        let (obs, limits) = (&mut Obs::disabled(), RunLimits::unlimited());
+        try_run_one(bench, arch, cfg, seed, obs, &limits).expect("feasible")
+    }
+
     #[test]
     fn run_one_validates() {
         let b = dmt_kernels::convolution::Convolution::default();
@@ -801,8 +752,15 @@ mod tests {
 
     #[test]
     fn pooled_run_with_deadline_types_every_outcome() {
-        let run =
-            run_suite_pooled_limited(SystemConfig::default(), SEED, 2, 2, None, None, Some(1));
+        let grid = |deadline_cycles| {
+            let opts = GridOptions {
+                threads: 2,
+                deadline_cycles,
+                ..GridOptions::default()
+            };
+            run_grid(suite_jobs(SystemConfig::default(), SEED, 2), SEED, &opts)
+        };
+        let run = grid(Some(1));
         assert!(
             run.outcomes
                 .iter()
@@ -810,11 +768,8 @@ mod tests {
             "{:?}",
             run.outcomes
         );
-        // And the unlimited run through the same limited entry point is
-        // byte-identical to the plain pooled run.
-        let a = run_suite_pooled_limited(SystemConfig::default(), SEED, 2, 2, None, None, None);
-        let b = run_suite_pooled(SystemConfig::default(), SEED, 2, 2, None, None);
-        assert_eq!(a.outcomes, b.outcomes);
+        // And a budget no job reaches is byte-identical to no budget.
+        assert_eq!(grid(Some(1 << 40)).outcomes, grid(None).outcomes);
     }
 
     #[test]

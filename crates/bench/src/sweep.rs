@@ -7,9 +7,8 @@
 //! point by point. Aggregation is by job index: CSV output is identical
 //! for any thread count.
 
-use crate::{suite_jobs, RowOutcome, SuiteRun};
+use crate::{suite_jobs, GridOptions, RowOutcome, SuiteRun};
 use dmt_core::SystemConfig;
-use dmt_runner::{Cache, Progress};
 use std::fmt::Write as _;
 
 /// One point of a sweep: a label (the x value) and the suite measured
@@ -24,70 +23,24 @@ pub struct SweepPoint {
     pub rows: Vec<RowOutcome>,
 }
 
-/// Runs the full suite once per configuration variant, flattened across
-/// the worker pool.
-pub fn sweep<I, F>(values: I, seed: u64, mut configure: F, threads: usize) -> Vec<SweepPoint>
+/// Runs the full suite once per configuration variant, flattened into
+/// one [`run_grid`](crate::run_grid) call across the worker pool, and
+/// returns the underlying run (for the per-job JSON artifact) beside
+/// the regrouped points. Every [`GridOptions`] field applies: with a
+/// cache, previously-completed points are served from disk and a killed
+/// sweep resumes from the jobs it had finished; under a deadline,
+/// timed-out points render like infeasible ones (omitted from the CSV,
+/// reported by [`skipped`]).
+pub fn sweep_run<I, F>(
+    values: I,
+    seed: u64,
+    mut configure: F,
+    opts: &GridOptions,
+) -> (SuiteRun, Vec<SweepPoint>)
 where
     I: IntoIterator,
     I::Item: std::fmt::Display,
     F: FnMut(&I::Item, &mut SystemConfig),
-{
-    sweep_with_progress(values, seed, &mut configure, threads, None)
-}
-
-/// [`sweep`] with an optional live progress ticker.
-pub fn sweep_with_progress<I, F>(
-    values: I,
-    seed: u64,
-    configure: &mut F,
-    threads: usize,
-    progress: Option<&Progress>,
-) -> Vec<SweepPoint>
-where
-    I: IntoIterator,
-    I::Item: std::fmt::Display,
-    F: ?Sized + FnMut(&I::Item, &mut SystemConfig),
-{
-    sweep_run(values, seed, configure, threads, progress, None).1
-}
-
-/// Like [`sweep_with_progress`], but also returns the underlying pool
-/// run, so callers can record the per-job JSON artifact. With a
-/// [`Cache`], previously-completed points are served from disk and a
-/// killed sweep resumes from the jobs it had finished.
-pub fn sweep_run<I, F>(
-    values: I,
-    seed: u64,
-    configure: &mut F,
-    threads: usize,
-    progress: Option<&Progress>,
-    cache: Option<&Cache>,
-) -> (SuiteRun, Vec<SweepPoint>)
-where
-    I: IntoIterator,
-    I::Item: std::fmt::Display,
-    F: ?Sized + FnMut(&I::Item, &mut SystemConfig),
-{
-    sweep_run_limited(values, seed, configure, threads, progress, cache, None)
-}
-
-/// [`sweep_run`] with an optional per-job simulated-cycle budget
-/// (`--deadline-cycles`); timed-out points render like infeasible ones
-/// (omitted from the CSV, reported by [`skipped`]).
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_run_limited<I, F>(
-    values: I,
-    seed: u64,
-    configure: &mut F,
-    threads: usize,
-    progress: Option<&Progress>,
-    cache: Option<&Cache>,
-    deadline_cycles: Option<u64>,
-) -> (SuiteRun, Vec<SweepPoint>)
-where
-    I: IntoIterator,
-    I::Item: std::fmt::Display,
-    F: ?Sized + FnMut(&I::Item, &mut SystemConfig),
 {
     let mut labels = Vec::new();
     let mut jobs = Vec::new();
@@ -97,29 +50,18 @@ where
         labels.push(v.to_string());
         jobs.extend(suite_jobs(cfg, seed, usize::MAX));
     }
-    let per_point = if labels.is_empty() {
-        0
-    } else {
-        jobs.len() / labels.len()
-    };
-    let run = crate::run_jobs_pooled_limited(jobs, seed, threads, progress, cache, deadline_cycles);
-    let points = regroup(&run, &labels, per_point);
-    (run, points)
-}
-
-fn regroup(run: &SuiteRun, labels: &[String], per_point: usize) -> Vec<SweepPoint> {
-    labels
-        .iter()
-        .enumerate()
-        .map(|(i, label)| {
-            let lo = i * per_point;
-            let hi = lo + per_point;
-            SweepPoint {
-                label: label.clone(),
-                rows: RowOutcome::from_jobs(&run.jobs[lo..hi], &run.outcomes[lo..hi]),
-            }
+    let run = crate::run_grid(jobs, seed, opts);
+    // Every point contributed one whole suite, so the rows split evenly.
+    let mut rows = run.rows().into_iter();
+    let per_point = rows.len() / labels.len().max(1);
+    let points = labels
+        .into_iter()
+        .map(|label| SweepPoint {
+            label,
+            rows: rows.by_ref().take(per_point).collect(),
         })
-        .collect()
+        .collect();
+    (run, points)
 }
 
 /// Renders a sweep as CSV: one line per fully-feasible (x, benchmark)
@@ -185,13 +127,13 @@ mod tests {
 
     #[test]
     fn csv_has_a_row_per_point_and_benchmark() {
-        let points = sweep(
+        let (_, points) = sweep_run(
             [16u32],
             1,
             |&tb, cfg| {
                 cfg.fabric.token_buffer_entries = tb;
             },
-            1,
+            &GridOptions::default(),
         );
         let csv = to_csv(&points, "token_buffer");
         assert_eq!(csv.lines().count(), 1 + 9, "header + nine benchmarks");
@@ -203,13 +145,17 @@ mod tests {
     #[test]
     fn infeasible_rows_are_skipped_and_reported() {
         // A 64-thread window breaks reduce's 128-wide log-tree.
-        let points = sweep(
+        let opts = GridOptions {
+            threads: 2,
+            ..GridOptions::default()
+        };
+        let (_, points) = sweep_run(
             [64u32],
             crate::SEED,
             |&w, cfg| {
                 cfg.fabric.inflight_threads = w;
             },
-            2,
+            &opts,
         );
         let csv = to_csv(&points, "inflight_threads");
         assert!(!csv.contains(",reduce,"), "{csv}");

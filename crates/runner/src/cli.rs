@@ -1,20 +1,20 @@
 //! The shared command-line surface of every experiment binary.
 //!
-//! Flags are **declared, not hand-parsed**: a [`Flag`] names one flag,
-//! says whether it takes a value, and carries its help line. The
-//! [`SHARED_FLAGS`] registry declares the runner flags every binary
-//! accepts (`--threads/--json/--cache/--no-cache/--progress/--smoke/`
-//! `--trace/--faults/--deadline-cycles`);
-//! a binary with flags of its own passes one more `&[Flag]` table to
-//! [`RunnerArgs::from_env_registry`] and reads them back with
-//! [`RunnerArgs::has_flag`] / [`RunnerArgs::flag_value`]. From the two
-//! tables the parser generates `--help` output and the usage line shown
-//! on errors, so help text can never drift from what is actually
-//! parsed, and unknown-`--flag` rejection is uniform across all
-//! binaries (a misspelled flag must not silently degrade the run).
-//!
-//! Unrecognized bare arguments pass through in order (`rest`) for
-//! binary-specific positionals (e.g. `sweep_csv token_buffer`).
+//! Flags are **data**: a [`Flag`] names one flag, says whether it takes
+//! a value, and carries its help line. The runner flags
+//! (`--threads/--json/--cache/--no-cache/--progress/--smoke/--trace/`
+//! `--faults/--deadline-cycles`) live in one table, and each binary
+//! *declares* in a [`Cli`] which of them it accepts ([`Shared`]), its own
+//! flags (read back with [`RunnerArgs::has_flag`] /
+//! [`RunnerArgs::flag_value`]) and its positionals. One loop in
+//! [`RunnerArgs::parse_registry`] parses both kinds from that
+//! declaration, and `--help` and the usage line are generated from it —
+//! so a binary can neither advertise a flag it rejects nor silently
+//! drop one it cannot honour: an undeclared runner flag, an unknown
+//! `--flag` and a stray positional are all parse errors (exit 2) before
+//! anything runs. An environment default (`DMT_THREADS`, `DMT_CACHE`,
+//! `DMT_PROGRESS`, `DMT_TRACE`) applies only where the flag it stands
+//! in for is declared — it must not break binaries it cannot apply to.
 
 use crate::cache::Cache;
 use std::path::PathBuf;
@@ -72,81 +72,205 @@ impl Flag {
     }
 }
 
-/// The runner flags every experiment binary accepts. Binary-specific
-/// tables compose with (never override) this one.
-pub const SHARED_FLAGS: &[Flag] = &[
-    Flag::with_value(
-        "--threads",
-        "N",
-        "worker count (default: DMT_THREADS, else all cores)",
-    ),
-    Flag::with_value("--json", "PATH", "also write the versioned JSON artifact"),
-    Flag::with_value(
-        "--cache",
-        "DIR",
-        "content-addressed result cache (or DMT_CACHE=DIR)",
-    ),
-    Flag::switch("--no-cache", "disable caching even when DMT_CACHE is set"),
-    Flag::switch(
-        "--progress",
-        "live per-job progress on stderr (or DMT_PROGRESS=1)",
-    ),
-    Flag::switch("--smoke", "reduced suite, where the binary supports it"),
-    Flag::with_value(
-        "--trace",
-        "PATH",
-        "export a Chrome-trace JSON of the runs (or DMT_TRACE=1|PATH)",
-    ),
-    Flag::with_value(
-        "--faults",
-        "SPEC",
-        "deterministic fault injection, e.g. 'seed=1;cache.read:nth=2' (or DMT_FAULTS)",
-    ),
-    Flag::with_value(
-        "--deadline-cycles",
-        "N",
-        "per-job simulated-cycle budget; exceeding jobs report timed_out",
-    ),
+/// The runner flags a binary may declare in [`Cli::shared`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shared {
+    /// `--threads N`
+    Threads,
+    /// `--json PATH`
+    Json,
+    /// `--cache DIR`
+    Cache,
+    /// `--no-cache`
+    NoCache,
+    /// `--progress`
+    Progress,
+    /// `--smoke`
+    Smoke,
+    /// `--trace PATH`
+    Trace,
+    /// `--faults SPEC`
+    Faults,
+    /// `--deadline-cycles N`
+    DeadlineCycles,
+}
+
+/// One row of the runner-flag table: the declaration plus how its
+/// validated value lands in [`RunnerArgs`] (a switch is set with `""`).
+struct SharedFlag {
+    id: Shared,
+    flag: Flag,
+    set: fn(&mut RunnerArgs, &str) -> Result<(), String>,
+}
+
+const SHARED_FLAGS: &[SharedFlag] = &[
+    SharedFlag {
+        id: Shared::Threads,
+        flag: Flag::with_value(
+            "--threads",
+            "N",
+            "worker count (default: DMT_THREADS, else all cores)",
+        ),
+        set: |a, v| {
+            a.threads = match v.parse::<usize>() {
+                Ok(n) if n >= 1 => Some(n),
+                _ => return Err(format!("invalid thread count {v:?} (need an integer >= 1)")),
+            };
+            Ok(())
+        },
+    },
+    SharedFlag {
+        id: Shared::Json,
+        flag: Flag::with_value("--json", "PATH", "also write the versioned JSON artifact"),
+        set: |a, v| {
+            a.json = Some(PathBuf::from(v));
+            Ok(())
+        },
+    },
+    SharedFlag {
+        id: Shared::Cache,
+        flag: Flag::with_value(
+            "--cache",
+            "DIR",
+            "content-addressed result cache (or DMT_CACHE=DIR)",
+        ),
+        // An empty directory would resolve entries to bare `<hash>.json`
+        // in the working directory — reject it like an absent value (an
+        // empty `DMT_CACHE` already means "no caching").
+        set: |a, v| {
+            if v.is_empty() {
+                return Err("--cache needs a directory".to_owned());
+            }
+            a.cache = Some(PathBuf::from(v));
+            Ok(())
+        },
+    },
+    SharedFlag {
+        id: Shared::NoCache,
+        flag: Flag::switch("--no-cache", "disable caching even when DMT_CACHE is set"),
+        set: |a, _| {
+            a.no_cache = true;
+            Ok(())
+        },
+    },
+    SharedFlag {
+        id: Shared::Progress,
+        flag: Flag::switch(
+            "--progress",
+            "live per-job progress on stderr (or DMT_PROGRESS=1)",
+        ),
+        set: |a, _| {
+            a.progress = true;
+            Ok(())
+        },
+    },
+    SharedFlag {
+        id: Shared::Smoke,
+        flag: Flag::switch("--smoke", "reduced suite (the first three benchmarks)"),
+        set: |a, _| {
+            a.smoke = true;
+            Ok(())
+        },
+    },
+    SharedFlag {
+        id: Shared::Trace,
+        flag: Flag::with_value(
+            "--trace",
+            "PATH",
+            "export a Chrome-trace JSON of the runs (or DMT_TRACE=1|PATH)",
+        ),
+        set: |a, v| {
+            a.trace = Some(PathBuf::from(v));
+            Ok(())
+        },
+    },
+    SharedFlag {
+        id: Shared::Faults,
+        flag: Flag::with_value(
+            "--faults",
+            "SPEC",
+            "deterministic fault injection, e.g. 'seed=1;cache.read:nth=2' (or DMT_FAULTS)",
+        ),
+        // Validated at parse time (not at install time) so a typo'd site
+        // name dies with the usage line, before any simulation starts.
+        set: |a, v| {
+            dmt_common::faults::FaultPlan::parse(v)?;
+            a.faults = Some(v.to_owned());
+            Ok(())
+        },
+    },
+    SharedFlag {
+        id: Shared::DeadlineCycles,
+        flag: Flag::with_value(
+            "--deadline-cycles",
+            "N",
+            "per-job simulated-cycle budget; exceeding jobs report timed_out",
+        ),
+        set: |a, v| {
+            a.deadline_cycles = match v.parse::<u64>() {
+                Ok(n) if n >= 1 => Some(n),
+                _ => return Err(format!("invalid deadline {v:?} (need a cycle count >= 1)")),
+            };
+            Ok(())
+        },
+    },
 ];
 
-/// The generated `--help` text: usage line, the shared registry, then
-/// the binary's own table.
-#[must_use]
-pub fn help_text(binary: &str, extra: &[Flag]) -> String {
-    let mut s = format!("{}\n\nrunner flags:\n", usage_line(binary, extra));
-    for f in SHARED_FLAGS {
-        s.push_str(&f.help_line());
+/// A binary's declared command line: the whole truth about what it
+/// accepts. Everything else is rejected at parse time.
+#[derive(Debug, Clone, Copy)]
+pub struct Cli {
+    /// The binary's name, for usage, help and error lines.
+    pub name: &'static str,
+    /// The runner flags this binary honours.
+    pub shared: &'static [Shared],
+    /// The binary's own flags.
+    pub flags: &'static [Flag],
+    /// Placeholder names of the positionals it takes, in order (all
+    /// optional; one more than these is an error).
+    pub positionals: &'static [&'static str],
+}
+
+impl Cli {
+    /// The accepted runner flags, in table order.
+    fn shared_flags(&self) -> impl Iterator<Item = &'static Flag> + '_ {
+        SHARED_FLAGS
+            .iter()
+            .filter(|s| self.shared.contains(&s.id))
+            .map(|s| &s.flag)
     }
-    if !extra.is_empty() {
-        s.push_str("\nbinary flags:\n");
-        for f in extra {
+
+    /// The generated `--help` text: usage line, the accepted runner
+    /// flags, then the binary's own table.
+    #[must_use]
+    pub fn help_text(&self) -> String {
+        let mut s = format!("{}\n\nrunner flags:\n", self.usage_line());
+        for f in self.shared_flags() {
             s.push_str(&f.help_line());
         }
+        if !self.flags.is_empty() {
+            s.push_str("\nbinary flags:\n");
+            for f in self.flags {
+                s.push_str(&f.help_line());
+            }
+        }
+        s.push('\n');
+        s.push_str(&Flag::switch("--help", "print this help").help_line());
+        s
     }
-    s.push('\n');
-    s.push_str(&Flag::switch("--help", "print this help").help_line());
-    s
-}
 
-/// The generated one-line usage summary (also shown on parse errors).
-#[must_use]
-pub fn usage_line(binary: &str, extra: &[Flag]) -> String {
-    let mut s = format!("usage: {binary}");
-    for f in SHARED_FLAGS.iter().chain(extra) {
-        s.push_str(&format!(" [{}]", f.synopsis()));
+    /// The generated one-line usage summary (also shown on parse errors).
+    #[must_use]
+    pub fn usage_line(&self) -> String {
+        let mut s = format!("usage: {}", self.name);
+        for f in self.shared_flags().chain(self.flags) {
+            s.push_str(&format!(" [{}]", f.synopsis()));
+        }
+        for p in self.positionals {
+            s.push_str(&format!(" [{p}]"));
+        }
+        s
     }
-    s.push_str(" [args...]");
-    s
-}
-
-// The binary name for usage/help lines, recovered from argv[0].
-fn binary_name() -> String {
-    std::env::args()
-        .next()
-        .as_deref()
-        .map(std::path::Path::new)
-        .and_then(|p| p.file_stem())
-        .map_or_else(|| "dmt".to_owned(), |s| s.to_string_lossy().into_owned())
 }
 
 /// Parsed runner arguments.
@@ -172,32 +296,26 @@ pub struct RunnerArgs {
     pub progress: bool,
     /// `--help`/`-h`: print generated help and exit.
     pub help: bool,
-    /// Binary-specific registered flags, in order of appearance
-    /// (`(name, value)`; read via [`RunnerArgs::has_flag`] and
-    /// [`RunnerArgs::flag_value`]).
+    /// Binary-specific flags, in order of appearance (`(name, value)`;
+    /// read via [`RunnerArgs::has_flag`] and [`RunnerArgs::flag_value`]).
     pub extras: Vec<(String, Option<String>)>,
-    /// Positional / binary-specific arguments, in order.
+    /// Positional arguments, in order (at most [`Cli::positionals`]).
     pub rest: Vec<String>,
+    /// The runner flags the binary declared ([`Cli::shared`]): the
+    /// environment defaults below apply only to these.
+    pub accepted: &'static [Shared],
 }
 
 impl RunnerArgs {
     /// Parses the process arguments (`std::env::args`, program name
-    /// skipped) against the shared registry only: prints generated help
-    /// on `--help`, exits with status 2 on malformed flags.
+    /// skipped) against the binary's declaration: prints generated help
+    /// on `--help`, exits with status 2 on anything undeclared or
+    /// malformed, and installs the fault plan.
     #[must_use]
-    pub fn from_env() -> RunnerArgs {
-        RunnerArgs::from_env_registry(&[])
-    }
-
-    /// [`RunnerArgs::from_env`] with a binary-specific flag table on
-    /// top of [`SHARED_FLAGS`]. The binary name in help/usage output is
-    /// recovered from `argv[0]`.
-    #[must_use]
-    pub fn from_env_registry(extra: &[Flag]) -> RunnerArgs {
-        let binary = binary_name();
-        match RunnerArgs::parse_registry(std::env::args().skip(1), extra) {
+    pub fn from_env(cli: &Cli) -> RunnerArgs {
+        match RunnerArgs::parse_registry(std::env::args().skip(1), cli) {
             Ok(a) if a.help => {
-                print!("{}", help_text(&binary, extra));
+                print!("{}", cli.help_text());
                 std::process::exit(0);
             }
             Ok(a) => {
@@ -213,28 +331,19 @@ impl RunnerArgs {
             }
             Err(e) => {
                 eprintln!("error: {e}");
-                eprintln!("{}", usage_line(&binary, extra));
+                eprintln!("{}", cli.usage_line());
                 std::process::exit(2);
             }
         }
     }
 
-    /// Parses an argument list against the shared registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for a missing or malformed flag value.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<RunnerArgs, String> {
-        RunnerArgs::parse_registry(args, &[])
-    }
-
-    /// True when a registered binary-specific flag was given.
+    /// True when a binary-specific flag was given.
     #[must_use]
     pub fn has_flag(&self, flag: &str) -> bool {
-        self.extras.iter().any(|(n, _)| n == flag) || self.rest.iter().any(|a| a == flag)
+        self.extras.iter().any(|(n, _)| n == flag)
     }
 
-    /// The value of a registered value-taking flag (last occurrence
+    /// The value of a binary-specific value-taking flag (last occurrence
     /// wins, matching the usual CLI override idiom).
     #[must_use]
     pub fn flag_value(&self, flag: &str) -> Option<&str> {
@@ -245,98 +354,74 @@ impl RunnerArgs {
             .and_then(|(_, v)| v.as_deref())
     }
 
-    /// Parses an argument list against [`SHARED_FLAGS`] plus a
-    /// binary-specific flag table. `--help`/`-h` set
-    /// [`RunnerArgs::help`] instead of erroring.
+    /// Parses an argument list against a binary's declaration: one loop
+    /// over one table for runner and binary flags alike (`--x v` and
+    /// `--x=v`). `--help`/`-h` set [`RunnerArgs::help`] instead of
+    /// erroring.
     ///
     /// # Errors
     ///
-    /// Returns a message for an unknown flag or a missing or malformed
-    /// flag value.
+    /// Returns a message for a runner flag the binary does not declare
+    /// (`<binary> does not support <flag>`), an unknown flag, a missing
+    /// or malformed value, or more positionals than declared.
     pub fn parse_registry(
         args: impl IntoIterator<Item = String>,
-        extra: &[Flag],
+        cli: &Cli,
     ) -> Result<RunnerArgs, String> {
-        let mut out = RunnerArgs::default();
+        let mut out = RunnerArgs {
+            accepted: cli.shared,
+            ..RunnerArgs::default()
+        };
         let mut it = args.into_iter();
-        'args: while let Some(arg) = it.next() {
+        while let Some(arg) = it.next() {
             if arg == "--help" || arg == "-h" {
                 out.help = true;
                 continue;
             }
-            for f in extra {
-                if arg == f.name {
-                    let v = match f.value_name {
-                        Some(_) => Some(it.next().ok_or(format!("{} needs a value", f.name))?),
-                        None => None,
-                    };
-                    out.extras.push((f.name.to_owned(), v));
-                    continue 'args;
+            if !arg.starts_with("--") {
+                // A stray positional must not silently run something
+                // else (`fig11_speedup smoke` is not `--smoke`).
+                if out.rest.len() == cli.positionals.len() {
+                    return Err(format!("unknown argument {arg:?}"));
                 }
-                if f.value_name.is_some() {
-                    if let Some(v) = arg.strip_prefix(f.name).and_then(|r| r.strip_prefix('=')) {
-                        out.extras.push((f.name.to_owned(), Some(v.to_owned())));
-                        continue 'args;
-                    }
-                }
+                out.rest.push(arg);
+                continue;
             }
-            match arg.as_str() {
-                "--smoke" => out.smoke = true,
-                "--progress" => out.progress = true,
-                "--threads" => {
-                    let v = it.next().ok_or("--threads needs a value")?;
-                    out.threads = Some(parse_threads(&v)?);
-                }
-                s if s.starts_with("--threads=") => {
-                    out.threads = Some(parse_threads(&s["--threads=".len()..])?);
-                }
-                "--json" => {
-                    let v = it.next().ok_or("--json needs a value")?;
-                    out.json = Some(PathBuf::from(v));
-                }
-                s if s.starts_with("--json=") => {
-                    out.json = Some(PathBuf::from(&s["--json=".len()..]));
-                }
-                "--cache" => {
-                    let v = it.next().ok_or("--cache needs a directory")?;
-                    out.cache = Some(parse_cache_dir(&v)?);
-                }
-                s if s.starts_with("--cache=") => {
-                    out.cache = Some(parse_cache_dir(&s["--cache=".len()..])?);
-                }
-                "--no-cache" => out.no_cache = true,
-                "--trace" => {
-                    let v = it.next().ok_or("--trace needs a path")?;
-                    out.trace = Some(PathBuf::from(v));
-                }
-                s if s.starts_with("--trace=") => {
-                    out.trace = Some(PathBuf::from(&s["--trace=".len()..]));
-                }
-                "--faults" => {
-                    let v = it.next().ok_or("--faults needs a spec")?;
-                    out.faults = Some(parse_faults_spec(&v)?);
-                }
-                s if s.starts_with("--faults=") => {
-                    out.faults = Some(parse_faults_spec(&s["--faults=".len()..])?);
-                }
-                "--deadline-cycles" => {
-                    let v = it.next().ok_or("--deadline-cycles needs a value")?;
-                    out.deadline_cycles = Some(parse_deadline(&v)?);
-                }
-                s if s.starts_with("--deadline-cycles=") => {
-                    out.deadline_cycles = Some(parse_deadline(&s["--deadline-cycles=".len()..])?);
-                }
-                // A misspelled flag must not silently degrade the run
-                // (e.g. `--thread 8` quietly using all cores); only bare
-                // positionals pass through to the binary.
-                s if s.starts_with("--") => return Err(format!("unknown flag {s}")),
-                _ => out.rest.push(arg),
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (arg.as_str(), None),
+            };
+            let shared = SHARED_FLAGS.iter().find(|s| s.flag.name == name);
+            if shared.is_some_and(|s| !out.accepts(s.id)) {
+                return Err(format!("{} does not support {name}", cli.name));
+            }
+            // A misspelled flag must not silently degrade the run (e.g.
+            // `--thread 8` quietly using all cores).
+            let flag = shared
+                .map(|s| &s.flag)
+                .or_else(|| cli.flags.iter().find(|f| f.name == name))
+                .ok_or_else(|| format!("unknown flag {arg}"))?;
+            let value = match (flag.value_name, inline) {
+                (None, None) => None,
+                (None, Some(_)) => return Err(format!("unknown flag {arg}")),
+                (Some(_), Some(v)) => Some(v.to_owned()),
+                (Some(_), None) => Some(it.next().ok_or(format!("{name} needs a value"))?),
+            };
+            match shared {
+                Some(s) => (s.set)(&mut out, value.as_deref().unwrap_or(""))?,
+                None => out.extras.push((name.to_owned(), value)),
             }
         }
         if out.cache.is_some() && out.no_cache {
             return Err("--cache and --no-cache are mutually exclusive".to_owned());
         }
         Ok(out)
+    }
+
+    /// Whether the binary declared this runner flag.
+    #[must_use]
+    pub fn accepts(&self, flag: Shared) -> bool {
+        self.accepted.contains(&flag)
     }
 
     /// The effective worker count: `--threads`, else `DMT_THREADS`, else
@@ -352,8 +437,10 @@ impl RunnerArgs {
     pub fn progress_reporter(&self) -> crate::Progress {
         if self.progress {
             crate::Progress::new(true)
-        } else {
+        } else if self.accepts(Shared::Progress) {
             crate::Progress::from_env()
+        } else {
+            crate::Progress::new(false)
         }
     }
 
@@ -362,7 +449,7 @@ impl RunnerArgs {
     /// caching.
     #[must_use]
     pub fn cache_dir(&self) -> Option<PathBuf> {
-        if self.no_cache {
+        if self.no_cache || !self.accepts(Shared::Cache) {
             return None;
         }
         if let Some(dir) = &self.cache {
@@ -407,6 +494,9 @@ impl RunnerArgs {
     /// other value is the destination path.
     #[must_use]
     pub fn trace_path(&self) -> Option<PathBuf> {
+        if !self.accepts(Shared::Trace) {
+            return None;
+        }
         if let Some(p) = &self.trace {
             return Some(p.clone());
         }
@@ -418,108 +508,6 @@ impl RunnerArgs {
             }
             Ok(v) => Some(PathBuf::from(v)),
         }
-    }
-
-    /// Exits with status 2 when `--trace` was passed to a binary that
-    /// does not export run traces (`DMT_TRACE` alone is ignored there,
-    /// like `DMT_CACHE` — an environment default must not break binaries
-    /// it cannot apply to).
-    pub fn forbid_trace(&self, binary: &str) {
-        if self.trace.is_some() {
-            eprintln!("error: {binary} does not support --trace (use fig11_speedup)");
-            std::process::exit(2);
-        }
-    }
-
-    /// Exits with status 2 when `--cache`/`--no-cache` was passed to a
-    /// binary that does not run a cacheable job grid (`DMT_CACHE` alone
-    /// is ignored there, like `DMT_THREADS` — an environment default must
-    /// not break binaries it cannot apply to).
-    pub fn forbid_cache(&self, binary: &str) {
-        if self.cache.is_some() || self.no_cache {
-            eprintln!("error: {binary} does not support --cache/--no-cache (no job grid)");
-            std::process::exit(2);
-        }
-    }
-
-    /// Exits with status 2 when `--json` was passed to a binary that has
-    /// no machine-readable output — a requested recording must never be
-    /// silently dropped.
-    pub fn forbid_json(&self, binary: &str) {
-        if self.json.is_some() {
-            eprintln!("error: {binary} does not support --json (no job-grid artifact)");
-            std::process::exit(2);
-        }
-    }
-
-    /// Exits with status 2 when `--progress` was passed to a binary whose
-    /// runs bypass the job pool's progress hook.
-    pub fn forbid_progress(&self, binary: &str) {
-        if self.progress {
-            eprintln!("error: {binary} does not support --progress");
-            std::process::exit(2);
-        }
-    }
-
-    /// Exits with status 2 when `--smoke` was passed to a binary that has
-    /// no reduced suite.
-    pub fn forbid_smoke(&self, binary: &str) {
-        if self.smoke {
-            eprintln!("error: {binary} does not support --smoke");
-            std::process::exit(2);
-        }
-    }
-
-    /// Exits with status 2 when `--threads` was passed to a binary that
-    /// does not simulate anything (nothing to parallelize).
-    pub fn forbid_threads(&self, binary: &str) {
-        if self.threads.is_some() {
-            eprintln!("error: {binary} does not support --threads (no simulation grid)");
-            std::process::exit(2);
-        }
-    }
-
-    /// Exits with status 2 when `--deadline-cycles` was passed to a
-    /// binary whose runs bypass the limit-aware executor — a requested
-    /// budget must never be silently ignored.
-    pub fn forbid_deadline(&self, binary: &str) {
-        if self.deadline_cycles.is_some() {
-            eprintln!("error: {binary} does not support --deadline-cycles");
-            std::process::exit(2);
-        }
-    }
-}
-
-// An empty directory would resolve entries to bare `<hash>.json` in the
-// working directory — reject it like an absent value (an empty
-// `DMT_CACHE` already means "no caching").
-fn parse_cache_dir(v: &str) -> Result<PathBuf, String> {
-    if v.is_empty() {
-        return Err("--cache needs a directory".to_owned());
-    }
-    Ok(PathBuf::from(v))
-}
-
-// The spec is validated at parse time (not at install time) so a typo'd
-// site name dies with the usage line, before any simulation starts.
-fn parse_faults_spec(v: &str) -> Result<String, String> {
-    dmt_common::faults::FaultPlan::parse(v)?;
-    Ok(v.to_owned())
-}
-
-fn parse_deadline(v: &str) -> Result<u64, String> {
-    match v.parse::<u64>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "invalid deadline {v:?} (need a cycle count >= 1; omit the flag for unlimited)"
-        )),
-    }
-}
-
-fn parse_threads(v: &str) -> Result<usize, String> {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("invalid thread count {v:?} (need an integer >= 1)")),
     }
 }
 
@@ -545,8 +533,32 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
 mod tests {
     use super::*;
 
+    const ALL_SHARED: &[Shared] = &[
+        Shared::Threads,
+        Shared::Json,
+        Shared::Cache,
+        Shared::NoCache,
+        Shared::Progress,
+        Shared::Smoke,
+        Shared::Trace,
+        Shared::Faults,
+        Shared::DeadlineCycles,
+    ];
+
+    /// A declaration accepting every runner flag and one positional.
+    const ALL: Cli = Cli {
+        name: "all",
+        shared: ALL_SHARED,
+        flags: &[],
+        positionals: &["WHICH"],
+    };
+
+    fn try_parse(args: &[&str], cli: &Cli) -> Result<RunnerArgs, String> {
+        RunnerArgs::parse_registry(args.iter().map(ToString::to_string), cli)
+    }
+
     fn parse(args: &[&str]) -> RunnerArgs {
-        RunnerArgs::parse(args.iter().map(ToString::to_string)).unwrap()
+        try_parse(args, &ALL).unwrap()
     }
 
     #[test]
@@ -588,19 +600,11 @@ mod tests {
         assert_eq!(a.cache_dir(), Some(PathBuf::from("dir")));
         // Asking for both at once is a contradiction, not a precedence
         // puzzle.
-        assert!(RunnerArgs::parse(
-            [
-                "--cache".to_owned(),
-                "d".to_owned(),
-                "--no-cache".to_owned()
-            ]
-            .into_iter()
-        )
-        .is_err());
-        assert!(RunnerArgs::parse(["--cache".to_owned()].into_iter()).is_err());
+        assert!(try_parse(&["--cache", "d", "--no-cache"], &ALL).is_err());
+        assert!(try_parse(&["--cache"], &ALL).is_err());
         // An empty directory must not scatter entries into the cwd.
-        assert!(RunnerArgs::parse(["--cache=".to_owned()].into_iter()).is_err());
-        assert!(RunnerArgs::parse(["--cache".to_owned(), String::new()].into_iter()).is_err());
+        assert!(try_parse(&["--cache="], &ALL).is_err());
+        assert!(try_parse(&["--cache", ""], &ALL).is_err());
     }
 
     #[test]
@@ -611,50 +615,45 @@ mod tests {
         let a = parse(&["--trace=x.json"]);
         assert_eq!(a.trace, Some(PathBuf::from("x.json")));
         // No flag, no env (the test env does not set DMT_TRACE): off.
-        assert!(RunnerArgs::parse(["--trace".to_owned()]).is_err());
+        assert!(try_parse(&["--trace"], &ALL).is_err());
     }
 
     #[test]
     fn rejects_unknown_flags_but_keeps_positionals() {
-        assert!(RunnerArgs::parse(["--thread".to_owned(), "8".to_owned()]).is_err());
-        assert!(RunnerArgs::parse(["--Smoke".to_owned()]).is_err());
+        assert!(try_parse(&["--thread", "8"], &ALL).is_err());
+        assert!(try_parse(&["--Smoke"], &ALL).is_err());
+        // A switch takes no inline value.
+        assert!(try_parse(&["--smoke=1"], &ALL).is_err());
         let a = parse(&["token_buffer"]);
         assert_eq!(a.rest, vec!["token_buffer"]);
     }
 
     #[test]
     fn registry_accepts_switches_and_value_flags() {
-        const FLAGS: &[Flag] = &[
-            Flag::switch("--per-phase", "per-phase breakdown"),
-            Flag::with_value("--iters", "N", "iteration count"),
-        ];
+        const CLI: Cli = Cli {
+            name: "bin",
+            shared: &[Shared::Threads],
+            flags: &[
+                Flag::switch("--per-phase", "per-phase breakdown"),
+                Flag::with_value("--iters", "N", "iteration count"),
+            ],
+            positionals: &[],
+        };
         // Unregistered: still an error (a typo must not degrade the run).
-        assert!(RunnerArgs::parse(["--per-phase".to_owned()]).is_err());
-        let a = RunnerArgs::parse_registry(
-            ["--threads", "2", "--per-phase", "--iters", "5"]
-                .iter()
-                .map(ToString::to_string),
-            FLAGS,
-        )
-        .unwrap();
+        assert!(try_parse(&["--per-phase"], &ALL).is_err());
+        let a = try_parse(&["--threads", "2", "--per-phase", "--iters", "5"], &CLI).unwrap();
         assert_eq!(a.threads, Some(2));
         assert!(a.has_flag("--per-phase"));
         assert!(!a.has_flag("--other"));
         assert_eq!(a.flag_value("--iters"), Some("5"));
         assert_eq!(a.flag_value("--per-phase"), None);
         // Inline form and last-occurrence-wins for value flags.
-        let a = RunnerArgs::parse_registry(
-            ["--iters=3", "--iters", "7"]
-                .iter()
-                .map(ToString::to_string),
-            FLAGS,
-        )
-        .unwrap();
+        let a = try_parse(&["--iters=3", "--iters", "7"], &CLI).unwrap();
         assert_eq!(a.flag_value("--iters"), Some("7"));
         // A registered value flag with no value is an error, and
         // registration does not leak to other unknown flags.
-        assert!(RunnerArgs::parse_registry(["--iters".to_owned()].into_iter(), FLAGS).is_err());
-        assert!(RunnerArgs::parse_registry(["--nope".to_owned()].into_iter(), FLAGS).is_err());
+        assert!(try_parse(&["--iters"], &CLI).is_err());
+        assert!(try_parse(&["--nope"], &CLI).is_err());
     }
 
     #[test]
@@ -663,16 +662,76 @@ mod tests {
         assert!(a.help);
         let a = parse(&["-h"]);
         assert!(a.help);
-        const FLAGS: &[Flag] = &[Flag::with_value("--iters", "N", "timing repetitions")];
-        let text = help_text("bench_hotpath", FLAGS);
-        // Every registered flag appears with its help line; the usage
-        // line leads.
+        const CLI: Cli = Cli {
+            name: "bench_hotpath",
+            shared: &[Shared::Json, Shared::Faults],
+            flags: &[Flag::with_value("--iters", "N", "timing repetitions")],
+            positionals: &["WHICH"],
+        };
+        let text = CLI.help_text();
+        // Exactly the declared flags appear, each with its help line;
+        // the usage line leads.
         assert!(text.starts_with("usage: bench_hotpath"));
-        for f in SHARED_FLAGS.iter().chain(FLAGS) {
-            assert!(text.contains(f.name), "help must mention {}", f.name);
-            assert!(text.contains(f.help), "help must describe {}", f.name);
+        for s in SHARED_FLAGS {
+            let declared = CLI.shared.contains(&s.id);
+            assert_eq!(text.contains(s.flag.name), declared, "{}", s.flag.name);
+            assert_eq!(text.contains(s.flag.help), declared, "{}", s.flag.name);
         }
-        assert!(usage_line("bench_hotpath", FLAGS).contains("[--iters N]"));
+        assert!(text.contains("--iters N") && text.contains("timing repetitions"));
+        assert_eq!(
+            CLI.usage_line(),
+            "usage: bench_hotpath [--json PATH] [--faults SPEC] [--iters N] [WHICH]"
+        );
+    }
+
+    /// A valid spelling of every runner flag, in `--x v` and `--x=v` form.
+    fn spellings(s: &SharedFlag) -> Vec<Vec<String>> {
+        let name = s.flag.name;
+        let value = match s.id {
+            Shared::Threads | Shared::DeadlineCycles => "2",
+            Shared::Faults => "pool.exec:nth=1",
+            _ => "x",
+        };
+        match s.flag.value_name {
+            Some(_) => vec![
+                vec![name.to_owned(), value.to_owned()],
+                vec![format!("{name}={value}")],
+            ],
+            None => vec![vec![name.to_owned()]],
+        }
+    }
+
+    #[test]
+    fn undeclared_runner_flags_and_stray_positionals_are_parse_errors() {
+        const NONE: Cli = Cli {
+            name: "table2_config",
+            shared: &[],
+            flags: &[Flag::switch("--own", "a binary flag")],
+            positionals: &[],
+        };
+        for s in SHARED_FLAGS {
+            for argv in spellings(s) {
+                // Declared: parses. Undeclared: the typed rejection, in
+                // both spellings, whatever else is on the line.
+                assert!(RunnerArgs::parse_registry(argv.clone(), &ALL).is_ok());
+                let err = RunnerArgs::parse_registry(argv.clone(), &NONE).unwrap_err();
+                assert_eq!(
+                    err,
+                    format!("table2_config does not support {}", s.flag.name),
+                    "{argv:?}"
+                );
+            }
+        }
+        assert!(try_parse(&["--own"], &NONE).unwrap().has_flag("--own"));
+        // Positionals are counted: one more than declared is an error.
+        assert_eq!(
+            try_parse(&["bogus"], &NONE).unwrap_err(),
+            "unknown argument \"bogus\""
+        );
+        assert_eq!(
+            try_parse(&["token_buffer", "extra"], &ALL).unwrap_err(),
+            "unknown argument \"extra\""
+        );
     }
 
     #[test]
@@ -690,21 +749,21 @@ mod tests {
         assert_eq!(a.deadline_cycles, Some(1));
         // A typo'd site name dies at the CLI with the parse message,
         // long before any simulation starts.
-        let err = RunnerArgs::parse(["--faults=bogus:nth=1".to_owned()]).unwrap_err();
+        let err = try_parse(&["--faults=bogus:nth=1"], &ALL).unwrap_err();
         assert!(err.contains("unknown fault site"), "{err}");
-        assert!(RunnerArgs::parse(["--faults".to_owned()]).is_err());
+        assert!(try_parse(&["--faults"], &ALL).is_err());
         // Deadline 0 would time out every job before cycle 0 — reject.
-        assert!(RunnerArgs::parse(["--deadline-cycles".to_owned(), "0".to_owned()]).is_err());
-        assert!(RunnerArgs::parse(["--deadline-cycles=x".to_owned()]).is_err());
-        assert!(RunnerArgs::parse(["--deadline-cycles".to_owned()]).is_err());
+        assert!(try_parse(&["--deadline-cycles", "0"], &ALL).is_err());
+        assert!(try_parse(&["--deadline-cycles=x"], &ALL).is_err());
+        assert!(try_parse(&["--deadline-cycles"], &ALL).is_err());
     }
 
     #[test]
     fn rejects_bad_values() {
-        assert!(RunnerArgs::parse(["--threads".to_owned()]).is_err());
-        assert!(RunnerArgs::parse(["--threads".to_owned(), "0".to_owned()]).is_err());
-        assert!(RunnerArgs::parse(["--threads=x".to_owned()]).is_err());
-        assert!(RunnerArgs::parse(["--json".to_owned()]).is_err());
+        assert!(try_parse(&["--threads"], &ALL).is_err());
+        assert!(try_parse(&["--threads", "0"], &ALL).is_err());
+        assert!(try_parse(&["--threads=x"], &ALL).is_err());
+        assert!(try_parse(&["--json"], &ALL).is_err());
     }
 
     #[test]
@@ -719,8 +778,7 @@ mod tests {
         // worker count must die at the CLI with a message, in both
         // spellings, long before a job grid is built.
         for argv in [&["--threads", "0"][..], &["--threads=0"][..]] {
-            let err = RunnerArgs::parse(argv.iter().map(ToString::to_string))
-                .expect_err("--threads 0 must be rejected");
+            let err = try_parse(argv, &ALL).expect_err("--threads 0 must be rejected");
             assert!(err.contains("invalid thread count"), "{err}");
             assert!(err.contains(">= 1"), "{err}");
         }

@@ -8,9 +8,9 @@
 //! parallel run is byte-identical to the serial run.
 //!
 //! The crate is orchestration-only — it does not know how to simulate
-//! anything. The leaf executor is injected by the caller (`dmt-bench`
-//! passes its `execute_job`, which keeps `run_one`/`try_run_one` as the
-//! single simulation entry point in the workspace).
+//! anything. The leaf executor is injected by the caller (`dmt-bench`'s
+//! `run_grid` passes its `execute_job` family, which keeps `try_run_one`
+//! as the single simulation entry point in the workspace).
 //!
 //! | Module | Role |
 //! |---|---|
@@ -21,7 +21,7 @@
 //! | [`artifact`] | versioned JSON artifacts (`schema_version: 2`, per-phase stats) + parser |
 //! | [`cache`] | content-addressed result cache, resume, cost-sorted scheduling |
 //! | [`progress`] | completion-ordered stderr ticker |
-//! | [`cli`] | declarative flag registry + the shared `--threads/--json/--cache/...` surface |
+//! | [`cli`] | flags as data: the runner-flag table, per-binary [`Cli`] declarations, one parser |
 //!
 //! # Example
 //!
@@ -73,7 +73,7 @@ pub mod progress;
 
 pub use artifact::{write_json, write_json_logged, Artifact, Json, SCHEMA_VERSION};
 pub use cache::{Cache, CacheStats, CostIndex};
-pub use cli::{resolve_threads, Flag, RunnerArgs};
+pub use cli::{resolve_threads, Cli, Flag, RunnerArgs, Shared};
 pub use hash::{config_hash, StableHasher};
 pub use job::{JobMetrics, JobOutcome, JobSpec};
 pub use plan::{panic_message, ExecPlan};

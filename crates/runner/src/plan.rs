@@ -1,5 +1,9 @@
-//! The one way to execute a job grid: the [`ExecPlan`] builder, consumed
-//! by both the CLI binaries and the `dmt-serve` daemon:
+//! The one way to execute a job grid: the [`ExecPlan`] builder behind
+//! every CLI binary (`dmt_bench::run_grid`). The `dmt-serve` daemon
+//! schedules its own batches over the index-level pool primitive
+//! ([`crate::pool::run_indexed`]) with this module's [`panic_message`]
+//! and the cache's cost order, because its retry and admission
+//! accounting wrap each job.
 //!
 //! ```text
 //! ExecPlan::new(&jobs).threads(n).cache(Some(&c)).progress(Some(&p)).run(exec)
@@ -7,7 +11,11 @@
 //!
 //! Every knob is optional and defaults to the serial, uncached,
 //! unreported run, so the minimal call reads exactly like what it does:
-//! `ExecPlan::new(&jobs).run(exec)`. The execution semantics:
+//! `ExecPlan::new(&jobs).run(exec)`. There is one implementation,
+//! [`ExecPlan::run_with`], whose executor may hand back a per-job value
+//! beside the outcome (an observation handle, say); [`ExecPlan::run`]
+//! and [`ExecPlan::run_limited`] are its adapters for executors that
+//! return the outcome alone. The execution semantics:
 //!
 //! * **deterministic aggregation** — outcomes land by job index, so the
 //!   result vector is byte-identical for any thread count;
@@ -141,6 +149,23 @@ impl<'a> ExecPlan<'a> {
     where
         F: Fn(&JobSpec, &RunLimits<'_>) -> JobOutcome + Sync,
     {
+        self.run_with(|spec, limits| (exec(spec, limits), ()))
+            .into_iter()
+            .map(|(outcome, _)| outcome)
+            .collect()
+    }
+
+    /// The execution core: like [`ExecPlan::run_limited`], but `exec`
+    /// also returns a value of its own for each job it ran (the bench
+    /// harness returns the job's observation handle), which comes back
+    /// index-aligned with the outcome. A slot whose job never reached
+    /// `exec` or did not return from it — a cache hit, an injected
+    /// `pool.exec` fault, a caught panic — carries `None`.
+    pub fn run_with<T, F>(self, exec: F) -> Vec<(JobOutcome, Option<T>)>
+    where
+        T: Send,
+        F: Fn(&JobSpec, &RunLimits<'_>) -> (JobOutcome, T) + Sync,
+    {
         let limits = RunLimits {
             deadline_cycles: self.deadline_cycles.unwrap_or(u64::MAX),
             cancel: self.cancel,
@@ -149,15 +174,16 @@ impl<'a> ExecPlan<'a> {
         // the `pool.exec` failpoint models a worker dying before the
         // executor runs, and `catch_unwind` turns a panicking executor
         // into a typed Failed slot instead of a poisoned pool.
-        let run_job = |spec: &JobSpec| -> JobOutcome {
+        let run_job = |spec: &JobSpec| -> (JobOutcome, Option<T>) {
             if faults::hit(faults::site::POOL_EXEC) {
-                return JobOutcome::Failed("injected fault: pool.exec".into());
+                return (JobOutcome::Failed("injected fault: pool.exec".into()), None);
             }
             match catch_unwind(AssertUnwindSafe(|| exec(spec, &limits))) {
-                Ok(outcome) => outcome,
-                Err(payload) => {
-                    JobOutcome::Failed(format!("executor panicked: {}", panic_message(payload)))
-                }
+                Ok((outcome, extra)) => (outcome, Some(extra)),
+                Err(payload) => (
+                    JobOutcome::Failed(format!("executor panicked: {}", panic_message(payload))),
+                    None,
+                ),
             }
         };
         let jobs = self.jobs;
@@ -166,14 +192,17 @@ impl<'a> ExecPlan<'a> {
                 p.begin(jobs.len());
             }
             return run_ordered(jobs.len(), self.threads, None, |i| {
-                let outcome = run_job(&jobs[i]);
+                let ran = run_job(&jobs[i]);
                 if let Some(p) = self.progress {
-                    p.completed(&jobs[i], &outcome);
+                    p.completed(&jobs[i], &ran.0);
                 }
-                outcome
+                ran
             });
         };
-        let mut slots: Vec<Option<JobOutcome>> = jobs.iter().map(|j| cache.lookup(j)).collect();
+        let mut slots: Vec<Option<(JobOutcome, Option<T>)>> = jobs
+            .iter()
+            .map(|j| cache.lookup(j).map(|hit| (hit, None)))
+            .collect();
         let pending: Vec<usize> = (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
         if let Some(p) = self.progress {
             p.begin(pending.len());
@@ -183,25 +212,25 @@ impl<'a> ExecPlan<'a> {
             let order = cost_order(&specs, &cache.cost_index());
             let executed = run_ordered(pending.len(), self.threads, Some(&order), |k| {
                 let spec = &jobs[pending[k]];
-                let outcome = run_job(spec);
+                let ran = run_job(spec);
                 // Persist immediately — resume depends on completed work
                 // surviving a kill, not on reaching the end of the run. A
                 // failed store costs a future re-simulation, not this run.
                 // (Transient and timed-out outcomes are never persisted;
                 // the cache filters them itself.)
-                if let Err(e) = cache.store(spec, &outcome) {
+                if let Err(e) = cache.store(spec, &ran.0) {
                     eprintln!(
                         "[dmt-runner] warning: cache store failed for {spec}: {e} ({})",
                         cache.entry_path(spec).display()
                     );
                 }
                 if let Some(p) = self.progress {
-                    p.completed(spec, &outcome);
+                    p.completed(spec, &ran.0);
                 }
-                outcome
+                ran
             });
-            for (k, outcome) in executed.into_iter().enumerate() {
-                slots[pending[k]] = Some(outcome);
+            for (k, ran) in executed.into_iter().enumerate() {
+                slots[pending[k]] = Some(ran);
             }
         }
         slots
@@ -361,6 +390,31 @@ mod tests {
             Some("injected fault: pool.exec"),
             "typed, attributable failure"
         );
+    }
+
+    #[test]
+    fn run_with_returns_the_executors_value_only_for_jobs_it_ran() {
+        // One grid, all three ways a slot can miss the executor's value:
+        // job 0 is a cache hit, job 1 takes the pool.exec fault (first
+        // executed job in the serial, history-less schedule), job 3
+        // panics; job 2 runs normally and keeps its value.
+        let _guard = install_guarded(FaultPlan::parse("pool.exec:nth=1").unwrap());
+        let dir = std::env::temp_dir().join(format!("dmt_plan_with_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Cache::open(&dir).unwrap();
+        let grid = jobs(4);
+        cache.store(&grid[0], &exec(&grid[0])).unwrap();
+        let ran = ExecPlan::new(&grid)
+            .cache(Some(&cache))
+            .run_with(|spec, _| {
+                assert!(spec.seed != 3, "boom on seed 3");
+                (exec(spec), spec.seed)
+            });
+        let extras: Vec<Option<u64>> = ran.iter().map(|(_, extra)| *extra).collect();
+        assert_eq!(extras, [None, None, Some(2), None]);
+        let statuses: Vec<&str> = ran.iter().map(|(o, _)| o.status()).collect();
+        assert_eq!(statuses, ["ok", "failed", "ok", "failed"]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,18 +1,31 @@
 //! `dmt-serve` — the simulation daemon binary.
 //!
 //! Serves the Table 3 suite over TCP with the real bench executor.
-//! Runner flags `--threads`, `--cache DIR`, `--faults SPEC` and
-//! `--deadline-cycles N` (the default per-job budget; a submit may
-//! override it per job) apply (cache default: `artifacts/serve-cache`;
-//! the daemon *requires* a cache — it is the result store); `--json`,
-//! `--progress` and `--smoke` do not. Binary flags: `--addr HOST:PORT`,
-//! `--queue-depth N`, `--retry-after-ms MS`, `--max-retries N`,
-//! `--retry-backoff-ms MS`.
+//! Declared runner flags: `--threads`, `--cache DIR`, `--faults SPEC`
+//! and `--deadline-cycles N` (the default per-job budget; a submit may
+//! override it per job). The cache defaults to `artifacts/serve-cache`
+//! and cannot be turned off — the daemon *requires* one, it is the
+//! result store — so `--no-cache` is not declared, like `--json`,
+//! `--progress`, `--smoke` and `--trace`. Binary flags: `--addr
+//! HOST:PORT`, `--queue-depth N`, `--retry-after-ms MS`, `--max-retries
+//! N`, `--retry-backoff-ms MS`.
 
-use dmt_runner::{Flag, RunnerArgs};
+use dmt_runner::{Cli, Flag, RunnerArgs, Shared};
 use dmt_serve::{ServeOptions, Server};
 use std::path::PathBuf;
 use std::process::exit;
+
+const CLI: Cli = Cli {
+    name: "dmt-serve",
+    shared: &[
+        Shared::Threads,
+        Shared::Cache,
+        Shared::Faults,
+        Shared::DeadlineCycles,
+    ],
+    flags: FLAGS,
+    positionals: &[],
+};
 
 const FLAGS: &[Flag] = &[
     Flag::with_value(
@@ -53,19 +66,7 @@ fn value_or<T: std::str::FromStr>(args: &RunnerArgs, flag: &str, default: T) -> 
 }
 
 fn main() {
-    let args = RunnerArgs::from_env_registry(FLAGS);
-    args.forbid_json("dmt-serve");
-    args.forbid_progress("dmt-serve");
-    args.forbid_smoke("dmt-serve");
-    args.forbid_trace("dmt-serve");
-    if args.no_cache {
-        eprintln!("error: dmt-serve requires a result cache (it is the result store)");
-        exit(2);
-    }
-    if let Some(first) = args.rest.first() {
-        eprintln!("error: unknown argument {first:?}");
-        exit(2);
-    }
+    let args = RunnerArgs::from_env(&CLI);
     let addr = args
         .flag_value("--addr")
         .unwrap_or("127.0.0.1:7177")

@@ -12,13 +12,17 @@
 //!    (`faults::render_log`) and the identical outcome vector;
 //! 4. the daemon keeps answering `status` under an adversarial schedule
 //!    and drains within a wall-clock bound — it never hangs past its
-//!    deadline.
+//!    deadline;
+//! 5. observation composes: a profiled grid under a `pool.exec` fault or
+//!    a panicking job loses exactly that job, siblings byte-identical
+//!    and observations still index-aligned, for 1 and 4 workers.
 //!
-//! Executors here are deterministic stubs (outcomes are pure functions
+//! Executors in 1–4 are deterministic stubs (outcomes are pure functions
 //! of the spec), so a schedule sweep costs milliseconds per case; the
 //! real-simulation identity contracts live in `runner_cache.rs` and
-//! `runner_parallel.rs`.
+//! `runner_parallel.rs`, and 5 runs the real smoke grid.
 
+use dmt_bench::{execute_job_observed, run_grid, suite_jobs, GridOptions, SEED};
 use dmt_common::faults::{self, FaultPlan, Trigger};
 use dmt_common::RunLimits;
 use dmt_core::{Arch, SystemConfig};
@@ -185,6 +189,76 @@ proptest! {
         let (b, log_b) = chaos_run(&plan, "prob_b");
         prop_assert_eq!(a, b);
         prop_assert_eq!(log_a, log_b);
+    }
+}
+
+/// Exactly one slot failed with `needle`; every sibling is the clean
+/// run's outcome, and each slot's observed cycle count (`None` for an
+/// empty or absent observation) belongs to the outcome beside it.
+fn assert_one_lost_rest_aligned(
+    slots: &[(JobOutcome, Option<u64>)],
+    clean: &[JobOutcome],
+    needle: &str,
+) {
+    assert_eq!(slots.len(), clean.len());
+    let failed: Vec<_> = slots
+        .iter()
+        .filter(|(o, _)| o.status() == "failed")
+        .collect();
+    assert_eq!(failed.len(), 1, "exactly one job is lost: {failed:?}");
+    assert!(failed[0].0.error().unwrap().contains(needle), "{failed:?}");
+    for (i, ((outcome, observed), want)) in slots.iter().zip(clean).enumerate() {
+        match outcome.metrics() {
+            Some(m) => {
+                assert_eq!(outcome, want, "sibling {i} diverged");
+                assert_eq!(*observed, Some(m.cycles()), "observation {i} misaligned");
+            }
+            None => assert_eq!(*observed, None, "a lost job observed nothing"),
+        }
+    }
+}
+
+/// Observation goes through the same plan as everything else, so the
+/// fault and panic isolation of the unobserved run holds under it.
+#[test]
+fn observed_grid_loses_exactly_the_faulted_job_and_stays_index_aligned() {
+    let jobs = suite_jobs(SystemConfig::default(), SEED, 3);
+    let clean = {
+        let _guard = faults::quiet_guarded();
+        run_grid(jobs.clone(), SEED, &GridOptions::default()).outcomes
+    };
+    let victim = jobs[4].job_hash();
+    for threads in [1, 4] {
+        let run = {
+            let _guard = faults::install_guarded(FaultPlan::parse("pool.exec:nth=4").unwrap());
+            let opts = GridOptions {
+                threads,
+                profile: true,
+                ..GridOptions::default()
+            };
+            run_grid(jobs.clone(), SEED, &opts)
+        };
+        let slots: Vec<_> = run
+            .outcomes
+            .into_iter()
+            .zip(&run.observations)
+            .map(|(o, obs)| (o, Some(obs.profile.cycles).filter(|&c| c > 0)))
+            .collect();
+        assert_one_lost_rest_aligned(&slots, &clean, "injected fault: pool.exec");
+
+        // A panicking job, through the core `run_grid` is built on.
+        let _guard = faults::quiet_guarded();
+        let slots: Vec<_> = ExecPlan::new(&jobs)
+            .threads(threads)
+            .run_with(|spec, _| {
+                assert!(spec.job_hash() != victim, "panic before producing");
+                let mut obs = dmt_obs::Obs::new(false, true);
+                (execute_job_observed(spec, &mut obs), obs)
+            })
+            .into_iter()
+            .map(|(o, obs)| (o, obs.map(|obs| obs.profile.cycles)))
+            .collect();
+        assert_one_lost_rest_aligned(&slots, &clean, "panic before producing");
     }
 }
 

@@ -16,11 +16,12 @@
 //! git diff tests/fixtures/   # review: only intended fields may move
 //! ```
 
-use dmt_bench::{fig11_report, run_suite_pooled, SEED};
+use dmt_bench::{fig11_report, run_grid, suite_jobs, GridOptions, SEED};
 use dmt_core::SystemConfig;
 
 fn smoke_run() -> dmt_bench::SuiteRun {
-    run_suite_pooled(SystemConfig::default(), SEED, 3, 1, None, None)
+    let jobs = suite_jobs(SystemConfig::default(), SEED, 3);
+    run_grid(jobs, SEED, &GridOptions::default())
 }
 
 /// With `DMT_UPDATE_GOLDEN=1`, rewrites the fixture instead of comparing

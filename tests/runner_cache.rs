@@ -20,7 +20,7 @@
 //! `dmt_bench::execute_job` — the same leaf the binaries use — so "zero
 //! simulations" is asserted directly, not inferred from timing.
 
-use dmt_bench::{execute_job, fig11_report, run_suite_pooled, suite_jobs, RowOutcome, SEED};
+use dmt_bench::{execute_job, fig11_report, run_grid, suite_jobs, GridOptions, RowOutcome, SEED};
 use dmt_common::faults::{self, quiet_guarded, FaultPlan};
 use dmt_core::SystemConfig;
 use dmt_runner::{Artifact, Cache, ExecPlan, JobOutcome, JobSpec};
@@ -92,15 +92,31 @@ fn warm_rerun_simulates_nothing_and_matches_the_cold_run_byte_for_byte() {
     );
 
     // The same contract through the binaries' actual entry point.
-    let pooled = run_suite_pooled(
-        SystemConfig::default(),
-        SEED,
-        3,
-        4,
-        None,
-        Some(&Cache::open(&dir).unwrap()),
-    );
+    let opts = GridOptions {
+        threads: 4,
+        cache: Some(Cache::open(&dir).unwrap()),
+        ..GridOptions::default()
+    };
+    let pooled = run_grid(jobs.clone(), SEED, &opts);
     assert_eq!(pooled.outcomes, cold);
+    let stats = opts.cache.as_ref().unwrap().stats();
+    assert_eq!((stats.hits, stats.misses), (jobs.len() as u64, 0));
+
+    // An observed run means simulating: the same warm directory is
+    // neither read nor written (no lookup, no store reaches the handle),
+    // and the outcomes are the same bytes.
+    let opts = GridOptions {
+        threads: 4,
+        cache: Some(Cache::open(&dir).unwrap()),
+        profile: true,
+        ..GridOptions::default()
+    };
+    let observed = run_grid(jobs.clone(), SEED, &opts);
+    assert_eq!(observed.outcomes, cold);
+    assert_eq!(
+        opts.cache.as_ref().unwrap().stats(),
+        dmt_runner::CacheStats::default()
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,15 +3,25 @@
 //! serial run, only faster. Exercised over the CI smoke grid (first
 //! three Table 3 benchmarks × all three machines).
 
-use dmt_bench::{fig11_report, fig12_report, run_suite_pooled, suite_jobs, SEED};
+use dmt_bench::{fig11_report, fig12_report, run_grid, suite_jobs, GridOptions, SEED};
 use dmt_core::SystemConfig;
 use dmt_runner::{Artifact, ExecPlan, JobOutcome};
+
+/// The first `take` suite rows through the binaries' entry point, on
+/// `threads` workers, every other option at its default.
+fn suite_run(cfg: SystemConfig, take: usize, threads: usize) -> dmt_bench::SuiteRun {
+    let opts = GridOptions {
+        threads,
+        ..GridOptions::default()
+    };
+    run_grid(suite_jobs(cfg, SEED, take), SEED, &opts)
+}
 
 #[test]
 fn parallel_suite_is_byte_identical_to_serial() {
     let cfg = SystemConfig::default();
-    let serial = run_suite_pooled(cfg, SEED, 3, 1, None, None);
-    let parallel = run_suite_pooled(cfg, SEED, 3, 4, None, None);
+    let serial = suite_run(cfg, 3, 1);
+    let parallel = suite_run(cfg, 3, 4);
 
     // Same grid, same outcomes, in the same order.
     assert_eq!(serial.jobs, parallel.jobs);
@@ -39,7 +49,7 @@ fn parallel_suite_is_byte_identical_to_serial() {
 #[test]
 fn artifact_records_every_job_with_stable_hashes() {
     let cfg = SystemConfig::default();
-    let run = run_suite_pooled(cfg, SEED, 2, 2, None, None);
+    let run = suite_run(cfg, 2, 2);
     let art = run.artifact("smoke");
     let text = art.to_json().render();
 
@@ -76,7 +86,7 @@ fn artifact_records_every_job_with_stable_hashes() {
 fn artifact_round_trips_through_a_rebuild() {
     // The artifact constructor is pure over (specs, outcomes): rebuilding
     // from the same run yields the same document, including hashes.
-    let run = run_suite_pooled(SystemConfig::default(), SEED, 1, 2, None, None);
+    let run = suite_run(SystemConfig::default(), 1, 2);
     let a = Artifact::new(
         "x",
         run.threads,
