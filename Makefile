@@ -16,7 +16,8 @@ build:
 # FabricMachine::new/run_limited, GpuMachine::new/run_limited,
 # Machine::{new, run, run_observed}, dmt_bench::{execute_job,
 # execute_job_observed, execute_job_limited, geomean_rows, RowOutcome},
-# ExecPlan::{new, threads, cache, run}.
+# ExecPlan::{new, threads, cache, run},
+# CalendarQueue::{new, schedule, advance, pop_due, next_time}.
 bench-check:
 	cargo check --offline --all-targets --manifest-path benchmark/Cargo.toml
 

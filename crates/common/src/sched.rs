@@ -8,14 +8,25 @@
 //! (a contended DRAM completion) overflows into a small heap that is
 //! drained back into the wheel as time advances.
 //!
-//! The single most common arrival distance is exactly one cycle
-//! (unit-latency ops on zero-hop edges, releases, sink retirements), so
-//! events due at `now + 1` skip the wheel entirely and land in a flat
-//! next-cycle lane — no slot hashing, no occupancy-bitmap updates, and a
-//! straight `VecDeque` pop on the consuming side. The lane preserves the
-//! ordering contract for free: the wheel bucket for cycle `t` can only
-//! hold events scheduled at cycles `< t - 1` (a distance-1 schedule goes
-//! to the lane), so bucket-before-lane *is* global FIFO order.
+//! Where the events land, measured over the fabric engine's Table 3 grid
+//! (the 18 MT-CGRA and dMT-CGRA jobs of `fig11_speedup`, 4.33 M schedules):
+//! 20.6 % at exactly `now + 1`, 79.4 % further out in the wheel, 0.03 %
+//! past the horizon in the overflow heap. Two structures follow from that:
+//!
+//! * **A next-cycle lane.** Events due at `now + 1` skip the wheel and
+//!   land in a flat lane — no slot hashing, no occupancy-bitmap update.
+//!   The lane preserves the ordering contract for free: the wheel bucket
+//!   for cycle `t` can only hold events scheduled at cycles `< t - 1` (a
+//!   distance-1 schedule goes to the lane), so bucket-before-lane *is*
+//!   global FIFO order.
+//! * **Recycled bucket buffers.** Most events go to the wheel, and a
+//!   slot that kept its own buffer would next be written a whole horizon
+//!   later, long after its lines left the cache. Instead an empty slot
+//!   owns no buffer: it takes the most recently drained one from a LIFO
+//!   stack on its first push and gives it back when [`CalendarQueue::pop_due`]
+//!   empties it, so the queue holds at most as many buffers as it ever
+//!   had non-empty slots at once, and a push usually writes a line that
+//!   was read a few cycles ago.
 //!
 //! # Ordering contract
 //!
@@ -73,8 +84,12 @@ impl<T> Ord for Overflow<T> {
 /// See the module docs for the ordering contract and caller invariants.
 pub struct CalendarQueue<T> {
     /// One FIFO bucket per cycle in `[now + 1, now + WHEEL_HORIZON]`,
-    /// indexed by `cycle & (WHEEL_HORIZON - 1)`.
+    /// indexed by `cycle & (WHEEL_HORIZON - 1)`. A slot whose occupancy
+    /// bit is clear owns no allocation (see `spare`).
     wheel: Box<[VecDeque<T>]>,
+    /// Drained bucket buffers, cleared, most recently drained on top: a
+    /// slot takes one on its first push and returns it when it empties.
+    spare: Vec<VecDeque<T>>,
     /// Occupancy bitmap over wheel slots (one bit per slot) so
     /// [`CalendarQueue::next_time`] skips empty buckets a word at a time.
     occupied: Box<[u64]>,
@@ -113,6 +128,7 @@ impl<T> CalendarQueue<T> {
         wheel.resize_with(WHEEL_HORIZON as usize, VecDeque::new);
         CalendarQueue {
             wheel: wheel.into_boxed_slice(),
+            spare: Vec::new(),
             occupied: vec![0u64; (WHEEL_HORIZON / 64) as usize].into_boxed_slice(),
             next_lane: VecDeque::new(),
             cur_lane: VecDeque::new(),
@@ -135,26 +151,29 @@ impl<T> CalendarQueue<T> {
         self.len == 0
     }
 
-    /// Total events scheduled over the queue's lifetime (the monotonic
-    /// insertion counter; a throughput denominator for perf reporting).
-    #[must_use]
-    pub fn scheduled_total(&self) -> u64 {
-        self.seq
-    }
-
     #[inline]
     fn slot_of(at: u64) -> usize {
         (at & (WHEEL_HORIZON - 1)) as usize
     }
 
     #[inline]
-    fn mark(&mut self, slot: usize) {
-        self.occupied[slot / 64] |= 1 << (slot % 64);
+    fn is_marked(&self, slot: usize) -> bool {
+        self.occupied[slot / 64] & (1 << (slot % 64)) != 0
     }
 
+    /// Appends `item` to wheel slot `slot`, handing an empty slot the
+    /// most recently drained buffer first.
     #[inline]
-    fn unmark(&mut self, slot: usize) {
-        self.occupied[slot / 64] &= !(1 << (slot % 64));
+    fn push_wheel(&mut self, slot: usize, item: T) {
+        let word = &mut self.occupied[slot / 64];
+        let bit = 1 << (slot % 64);
+        if *word & bit == 0 {
+            *word |= bit;
+            if let Some(buf) = self.spare.pop() {
+                self.wheel[slot] = buf;
+            }
+        }
+        self.wheel[slot].push_back(item);
     }
 
     /// Schedules `item` at cycle `at`.
@@ -170,9 +189,7 @@ impl<T> CalendarQueue<T> {
         if at == self.now + 1 {
             self.next_lane.push_back(item);
         } else if at.saturating_sub(self.now) < WHEEL_HORIZON {
-            let slot = Self::slot_of(at);
-            self.wheel[slot].push_back(item);
-            self.mark(slot);
+            self.push_wheel(Self::slot_of(at), item);
         } else {
             self.overflow.push(Reverse(Overflow {
                 time: at,
@@ -190,6 +207,9 @@ impl<T> CalendarQueue<T> {
         if now > self.now {
             debug_assert!(self.cur_lane.is_empty(), "undrained lane events");
             if now == self.now + 1 {
+                // Rewind the drained lane's head so the next cycle's
+                // pushes start at the front of its buffer again.
+                self.cur_lane.clear();
                 std::mem::swap(&mut self.cur_lane, &mut self.next_lane);
             } else {
                 // A multi-cycle jump can only happen when no event is due
@@ -204,9 +224,7 @@ impl<T> CalendarQueue<T> {
                 break;
             }
             let Reverse(ev) = self.overflow.pop().expect("peeked");
-            let slot = Self::slot_of(ev.time);
-            self.wheel[slot].push_back(ev.item);
-            self.mark(slot);
+            self.push_wheel(Self::slot_of(ev.time), ev.item);
         }
     }
 
@@ -215,42 +233,27 @@ impl<T> CalendarQueue<T> {
     /// current cycle is exhausted. The wheel bucket drains before the
     /// next-cycle lane: every bucket entry for this cycle was scheduled
     /// at least two cycles ago, before any lane entry, so that *is*
-    /// schedule order.
+    /// schedule order. The pop that empties the bucket returns its
+    /// buffer to the spare stack.
     pub fn pop_due(&mut self) -> Option<T> {
         let slot = Self::slot_of(self.now);
-        if self.occupied[slot / 64] & (1 << (slot % 64)) != 0 {
-            if let Some(item) = self.wheel[slot].pop_front() {
-                self.len -= 1;
-                if self.wheel[slot].is_empty() {
-                    self.unmark(slot);
-                }
-                return Some(item);
+        if self.is_marked(slot) {
+            let bucket = &mut self.wheel[slot];
+            let item = bucket.pop_front().expect("a marked bucket is non-empty");
+            if bucket.is_empty() {
+                let mut buf = std::mem::take(bucket);
+                buf.clear();
+                self.spare.push(buf);
+                self.occupied[slot / 64] &= !(1 << (slot % 64));
             }
-            self.unmark(slot);
+            self.len -= 1;
+            return Some(item);
         }
         let item = self.cur_lane.pop_front();
         if item.is_some() {
             self.len -= 1;
         }
         item
-    }
-
-    /// Drains every event due at the current cycle (set via
-    /// [`CalendarQueue::advance`]) into `out`, preserving FIFO order —
-    /// equivalent to popping [`CalendarQueue::pop_due`] until `None`,
-    /// but with one occupancy-bitmap update for the whole bucket. Added
-    /// for the fabric engine's batched delivery pass, which collects a
-    /// cycle's entries before dispatching them.
-    pub fn drain_due_into(&mut self, out: &mut Vec<T>) {
-        let slot = Self::slot_of(self.now);
-        if self.occupied[slot / 64] & (1 << (slot % 64)) != 0 {
-            let bucket = &mut self.wheel[slot];
-            self.len -= bucket.len();
-            out.extend(bucket.drain(..));
-            self.unmark(slot);
-        }
-        self.len -= self.cur_lane.len();
-        out.extend(self.cur_lane.drain(..));
     }
 
     /// The cycle of the earliest pending event, or `None` when empty.
@@ -412,14 +415,14 @@ mod tests {
         assert_eq!(q.pop_due(), Some(2));
         assert_eq!(q.pop_due(), None);
         assert!(q.is_empty());
-        // Same shape through the bulk drain path.
+        // Same shape once the bucket's buffer has been recycled.
         q.schedule(4, 3u32);
         q.advance(3);
         q.schedule(4, 4u32);
         q.advance(4);
-        let mut out = Vec::new();
-        q.drain_due_into(&mut out);
-        assert_eq!(out, vec![3, 4]);
+        assert_eq!(q.pop_due(), Some(3));
+        assert_eq!(q.pop_due(), Some(4));
+        assert_eq!(q.pop_due(), None);
         assert!(q.is_empty());
     }
 
@@ -436,25 +439,36 @@ mod tests {
     }
 
     #[test]
-    fn drain_due_matches_repeated_pops() {
+    fn overflow_refills_a_drained_bucket_in_order() {
         let mut q = CalendarQueue::new();
         let t = WHEEL_HORIZON + 7;
         q.schedule(t, 1u32); // overflows, drains back first
         q.schedule(3, 2u32);
         q.schedule(3, 3u32);
         q.advance(3);
-        let mut out = Vec::new();
-        q.drain_due_into(&mut out);
-        assert_eq!(out, vec![2, 3]);
+        assert_eq!(q.pop_due(), Some(2));
+        assert_eq!(q.pop_due(), Some(3));
+        assert_eq!(q.pop_due(), None);
         assert_eq!(q.len(), 1);
-        q.drain_due_into(&mut out); // empty bucket: no-op
-        assert_eq!(out.len(), 2);
+        // Cycle 3's drained buffer is the one cycle t's bucket takes.
+        assert_eq!((nonempty_slots(&q), bucket_buffers(&q)), (0, 1));
         q.advance(t);
         q.schedule(t + 1, 4u32);
-        q.drain_due_into(&mut out);
-        assert_eq!(out, vec![2, 3, 1]);
+        assert_eq!((nonempty_slots(&q), bucket_buffers(&q)), (1, 1));
+        assert_eq!(q.pop_due(), Some(1));
+        assert_eq!(q.pop_due(), None);
         assert_eq!(q.next_time(), Some(t + 1));
         assert_eq!(q.len(), 1);
+    }
+
+    /// Wheel slots holding at least one event.
+    fn nonempty_slots<T>(q: &CalendarQueue<T>) -> usize {
+        q.occupied.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Bucket buffers the queue owns, in slots or on the spare stack.
+    fn bucket_buffers<T>(q: &CalendarQueue<T>) -> usize {
+        q.wheel.iter().filter(|b| b.capacity() > 0).count() + q.spare.len()
     }
 
     #[test]
@@ -471,19 +485,37 @@ mod tests {
         let mut r = HeapRef::new();
         let mut now = 0u64;
         let mut popped = 0u64;
+        let mut refills = 0u32;
+        // Buffers are recycled, never hoarded: the queue owns at most as
+        // many as it ever had non-empty slots at once.
+        let mut peak = 0;
+        let mut check_buffers = |q: &CalendarQueue<u32>| {
+            peak = peak.max(nonempty_slots(q));
+            assert!(bucket_buffers(q) <= peak, "{} buffers", bucket_buffers(q));
+        };
         for i in 0..20_000u32 {
             // Mixed near/far schedule distances, including past-horizon.
             let burst = rng() % 4;
-            for j in 0..burst {
-                let delta = match rng() % 10 {
+            let mut deltas: Vec<u64> = (0..burst)
+                .map(|_| match rng() % 10 {
                     0 => 1 + rng() % 3,
                     1..=7 => 1 + rng() % 300,
                     8 => 1 + rng() % (WHEEL_HORIZON - 1),
                     _ => WHEEL_HORIZON + rng() % 5000,
-                };
+                })
+                .collect();
+            if i % 16 == 0 {
+                // Refill slots one horizon after they drained: the one
+                // drained last cycle directly, the one drained this cycle
+                // through the overflow heap.
+                deltas.extend([WHEEL_HORIZON - 1, WHEEL_HORIZON]);
+                refills += 2;
+            }
+            for (j, delta) in deltas.into_iter().enumerate() {
                 let v = i * 8 + j as u32;
                 q.schedule(now + delta, v);
                 r.schedule(now + delta, v);
+                check_buffers(&q);
             }
             // Advance: usually +1, sometimes jump to the next event.
             now = match rng() % 5 {
@@ -494,6 +526,7 @@ mod tests {
                 _ => now + 1,
             };
             q.advance(now);
+            check_buffers(&q);
             assert_eq!(q.next_time(), r.next_time(), "next_time at {now}");
             loop {
                 let a = q.pop_due();
@@ -507,5 +540,9 @@ mod tests {
             assert_eq!(q.len(), r.heap.len(), "len at {now}");
         }
         assert!(popped > 10_000, "exercised {popped} pops");
+        assert!(
+            refills > 2_000 && peak > 0,
+            "{refills} refills, peak {peak}"
+        );
     }
 }

@@ -30,9 +30,76 @@ pub(super) enum Ev {
     /// A sink operation of `tid` completed.
     SinkDone { tid: u32 },
     /// A coalesced per-`(edge, cycle)` token batch is due: index into
-    /// `PhaseExec::batches` (batched delivery only). Folding the
-    /// reference into [`Ev`] keeps calendar entries at 16 bytes.
+    /// `PhaseExec::batches` (batched delivery only).
     Batch { batch: u32 },
+}
+
+/// An [`Ev`] as the calendar stores it: one 128-bit word, built and
+/// taken apart with shifts in registers. An enum is assembled in memory
+/// field by field and then copied into its bucket, so the copy reloads
+/// bytes just written by narrower stores, which the CPU cannot forward;
+/// a word packed in registers goes straight into the bucket.
+///
+/// Bits 0–31 hold the value (or the batch index), 32–63 the tid, 64–95
+/// the node, 96–103 the port and 104–111 the variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Packed(u128);
+
+impl From<Ev> for Packed {
+    #[inline(always)]
+    fn from(ev: Ev) -> Packed {
+        let (variant, node, port, tid, value) = match ev {
+            Ev::Deliver {
+                node,
+                port,
+                tid,
+                value,
+            } => (0u8, node.0, port, tid, value.0),
+            Ev::EloadProduce { node, tid, value } => (1, node.0, 0, tid, value.0),
+            Ev::EloadOffer { node, tid, value } => (2, node.0, 0, tid, value.0),
+            Ev::Release { node } => (3, node.0, 0, 0, 0),
+            Ev::SinkDone { tid } => (4, 0, 0, tid, 0),
+            Ev::Batch { batch } => (5, 0, 0, 0, batch),
+        };
+        Packed(
+            u128::from(value)
+                | u128::from(tid) << 32
+                | u128::from(node) << 64
+                | u128::from(port) << 96
+                | u128::from(variant) << 104,
+        )
+    }
+}
+
+impl From<Packed> for Ev {
+    #[inline(always)]
+    fn from(Packed(w): Packed) -> Ev {
+        let value = w as u32;
+        let tid = (w >> 32) as u32;
+        let node = NodeId((w >> 64) as u32);
+        match (w >> 104) as u8 {
+            0 => Ev::Deliver {
+                node,
+                port: (w >> 96) as u8,
+                tid,
+                value: Word(value),
+            },
+            1 => Ev::EloadProduce {
+                node,
+                tid,
+                value: Word(value),
+            },
+            2 => Ev::EloadOffer {
+                node,
+                tid,
+                value: Word(value),
+            },
+            3 => Ev::Release { node },
+            4 => Ev::SinkDone { tid },
+            5 => Ev::Batch { batch: value },
+            v => unreachable!("no event variant {v}"),
+        }
+    }
 }
 
 /// All tokens crossing one `(edge, arrival cycle)`, coalesced into a
@@ -101,7 +168,7 @@ impl<'a> PhaseExec<'a> {
         // Nothing lands in the cycle that scheduled it: tokens cross at
         // least one pipeline boundary.
         self.seq += 1;
-        self.events.schedule(at.max(self.now + 1), ev);
+        self.events.schedule(at.max(self.now + 1), ev.into());
     }
 
     /// A batch slab slot for the given destination, reusing payload
@@ -173,7 +240,8 @@ impl<'a> PhaseExec<'a> {
                         port: e.port,
                         tid,
                         value,
-                    },
+                    }
+                    .into(),
                 );
                 continue;
             }
@@ -186,7 +254,8 @@ impl<'a> PhaseExec<'a> {
                     cycle: arrival,
                     batch: id,
                 };
-                self.events.schedule(arrival, Ev::Batch { batch: id });
+                self.events
+                    .schedule(arrival, Ev::Batch { batch: id }.into());
                 id
             };
             let b = &mut self.batches[id as usize];
@@ -221,7 +290,7 @@ impl<'a> PhaseExec<'a> {
             let at = base.max(self.now + 1);
             for &tid in tids {
                 self.seq += 1;
-                self.events.schedule(at, Ev::SinkDone { tid });
+                self.events.schedule(at, Ev::SinkDone { tid }.into());
             }
             return;
         }
@@ -246,7 +315,8 @@ impl<'a> PhaseExec<'a> {
                             port: e.port,
                             tid: tids[i],
                             value: vals[i],
-                        },
+                        }
+                        .into(),
                     );
                 }
                 continue;
@@ -260,7 +330,8 @@ impl<'a> PhaseExec<'a> {
                     cycle: arrival,
                     batch: id,
                 };
-                self.events.schedule(arrival, Ev::Batch { batch: id });
+                self.events
+                    .schedule(arrival, Ev::Batch { batch: id }.into());
                 id
             };
             let b = &mut self.batches[id as usize];
@@ -288,9 +359,6 @@ impl<'a> PhaseExec<'a> {
             &mut self.units[ix],
             self.obs,
             self.meta[ix].arity,
-            self.ring_mask,
-            self.now,
-            node.0,
             port,
             tid,
             value,
@@ -301,8 +369,8 @@ impl<'a> PhaseExec<'a> {
     }
 
     /// Delivers a run of one batch's tokens — `pos` up to (exclusive) the
-    /// first seq ≥ `limit` — with the unit borrow, arity, and ring mask
-    /// hoisted out of the per-token loop. Returns the new cursor.
+    /// first seq ≥ `limit` — with the unit borrow and arity hoisted out of
+    /// the per-token loop. Returns the new cursor.
     fn deliver_batch_run(
         &mut self,
         id: u32,
@@ -314,8 +382,6 @@ impl<'a> PhaseExec<'a> {
         let ix = b.node as usize;
         let port = b.port;
         let arity = self.meta[ix].arity;
-        let mask = self.ring_mask;
-        let now = self.now;
         let len = b.tids.len();
         let unit = &mut self.units[ix];
         let obs = &mut *self.obs;
@@ -328,9 +394,6 @@ impl<'a> PhaseExec<'a> {
                     unit,
                     obs,
                     arity,
-                    mask,
-                    now,
-                    b.node,
                     port,
                     b.tids[pos],
                     b.vals[pos],
@@ -343,9 +406,6 @@ impl<'a> PhaseExec<'a> {
                     unit,
                     obs,
                     arity,
-                    mask,
-                    now,
-                    b.node,
                     port,
                     b.tids[pos],
                     b.vals[pos],

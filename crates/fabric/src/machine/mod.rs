@@ -18,23 +18,23 @@
 //! The engine's per-cycle work is dominated by three structures, all
 //! chosen so the common case is an array index, not a hash or a heap:
 //!
-//! * **Window-indexed matching stores.** Tokens are tagged with thread
-//!   ids, and the injector admits thread `t` only after thread
-//!   `t − inflight_threads` retired, so the set of tids that can hold
-//!   matching-store state at one instant is bounded by the in-flight
-//!   window (plus the total elevator/eLDST re-tag distance, which can
-//!   briefly keep a stale tid's partial set alive past its retirement).
-//!   Each node's store is therefore a power-of-two ring of slots indexed
-//!   `tid & mask`, each slot tagged with the owning tid; the ring is
-//!   sized to `min(window + 2·Σ|shift|, threads)` so distinct live tids
-//!   map to distinct slots (the cap is exact, not a heuristic: every tid
-//!   is below `threads`, so a ring with at least `threads` slots cannot
-//!   alias whatever the re-tag distance — a 2048-thread launch needs
-//!   2048 slots, not the 4096 the uncapped sum rounds up to). A tid
-//!   whose slot is held by another live tid
-//!   — possible only if that bound is ever exceeded — falls back to a
-//!   per-node spill map, preserving exact tagged-token semantics in all
-//!   cases; the ring is an optimization, never a correctness assumption.
+//! * **Live-span matching stores.** Tokens are tagged with thread ids,
+//!   and each node's store is a power-of-two ring of slots indexed
+//!   `tid & (len − 1)`, each slot tagged with the owning tid (the eLDST
+//!   token buffers are the same kind of ring). A ring starts at a few
+//!   slots and doubles only when an arriving tid finds its slot held by
+//!   another live tid; doubling keeps every live slot at `tag & mask`
+//!   (the mask gains one bit, so a slot stays or moves up by the old
+//!   length), and re-placement is invisible to the observer's ring
+//!   occupancy. A ring therefore ends sized to the span of tids live at
+//!   once *at its node* instead of to the whole in-flight window. Over
+//!   the Table 3 fabric jobs, 559 of 923 matching rings never leave 16
+//!   slots and the widest reach 2048; one pass allocates 0.14 M matching
+//!   slots where window sizing (2048–4096 per node) took 1.69 M, most of
+//!   them never touched. Growth always terminates: every tid is below
+//!   the launch's thread count, so by `threads.next_power_of_two()` slots
+//!   no two tids share one. There is no overflow path; tagged-token
+//!   semantics are exact by construction.
 //! * **Calendar event queue.** Almost every scheduled event (NoC
 //!   delivery, unit latency, cache hit) lands a small bounded number of
 //!   cycles ahead, so events live in a bucket-per-cycle wheel
@@ -44,6 +44,9 @@
 //!   to the `BinaryHeap<(cycle, seq, ev)>` it replaced, since the
 //!   monotonic `seq` made per-cycle ordering FIFO already. That ordering
 //!   contract is what keeps per-job cycles/energy/stats reproducible.
+//!   Its entries are `Packed` words: an event is built in registers and
+//!   written into its bucket with one store, and the cycle loop unpacks
+//!   it back into an `Ev` to match on.
 //! * **Active-node firing.** Instead of scanning every graph node every
 //!   cycle, a bitmask tracks nodes with complete operand sets; firing
 //!   iterates set bits in ascending node order (the same order the full
@@ -115,11 +118,12 @@
 //!   private `FabricMachine::run_with_delivery` seam (`machine/tests.rs`).
 //!
 //! Ring allocations are pooled per launch ([`StoreArena`]): a multi-phase
-//! kernel re-initializes the previous phase's buffers instead of paying an
-//! allocator round-trip per `PhaseExec`. Statistics are phase-resolved —
-//! the counters are snapshotted at every phase boundary and the run's
-//! totals are derived as the exact field-wise sum of the per-phase records
-//! (see [`dmt_common::stats`]).
+//! kernel re-initializes the previous phase's buffers (keeping the
+//! capacity they grew to) instead of paying an allocator round-trip per
+//! `PhaseExec`. Statistics are phase-resolved — the counters are
+//! snapshotted at every phase boundary and the run's totals are derived
+//! as the exact field-wise sum of the per-phase records (see
+//! [`dmt_common::stats`]).
 
 mod events;
 mod fire;
@@ -195,8 +199,8 @@ impl FabricMachine {
     }
 
     /// [`FabricMachine::run`] with an observation handle: the engine
-    /// reports phase boundaries, node firings, per-edge tokens, spills
-    /// and periodic counter samples into `obs`. Passing
+    /// reports phase boundaries, node firings, per-edge tokens, ring
+    /// occupancy and periodic counter samples into `obs`. Passing
     /// [`Obs::disabled`] (which [`FabricMachine::run`] does) reduces
     /// every report to one predicted-not-taken branch, so observed and
     /// unobserved runs produce identical results and statistics.

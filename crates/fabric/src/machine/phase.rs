@@ -1,7 +1,7 @@
 //! One phase's execution state and its cycle loop: construction from the
 //! phase program, thread injection, retirement, and `run`.
 
-use super::events::{DueCursor, EdgeOut, Ev, OpenBatch, TokenBatch};
+use super::events::{DueCursor, EdgeOut, Ev, OpenBatch, Packed, TokenBatch};
 use super::fire::{FireMeta, FireScratch};
 use super::stores::{EldstState, StoreArena, UnitState, EMPTY_TAG};
 use crate::program::{FabricProgram, PhaseProgram};
@@ -36,9 +36,7 @@ pub(super) struct PhaseExec<'a> {
     /// Per-node firing invariants (arity, class, latency, purity),
     /// precomputed at phase load (see [`FireMeta`]).
     pub(super) meta: Vec<FireMeta>,
-    /// `ring_size − 1` for the power-of-two matching-store rings.
-    pub(super) ring_mask: u32,
-    pub(super) events: CalendarQueue<Ev>,
+    pub(super) events: CalendarQueue<Packed>,
     /// Global schedule sequence: one increment per *logical* event (each
     /// token and each bookkeeping event), batched or not. Doubles as the
     /// scheduled-event total the profile reports.
@@ -129,27 +127,6 @@ impl<'a> PhaseExec<'a> {
                 _ => None,
             })
             .collect();
-        // Ring sizing: live tids are bounded by the in-flight window (or
-        // the whole launch when smaller), stretched by re-tagging — an
-        // elevator/eLDST chain can hold a stale tid's state alive while
-        // threads up to Σ|shift| further on retire. 2Σ covers a chain's
-        // worth of slack on both sides; the spill map covers anything
-        // beyond (see the module docs). Tids are all below `threads`, so
-        // a ring that large never aliases and the bound is capped there.
-        let shift_sum: u64 = phase
-            .graph
-            .node_ids()
-            .map(|id| match *phase.graph.kind(id) {
-                NodeKind::Elevator { comm, .. } | NodeKind::ELoad { comm, .. } => {
-                    comm.shift.unsigned_abs()
-                }
-                _ => 0,
-            })
-            .sum();
-        let live_bound = (u64::from(cfg.fabric.inflight_threads) + 2 * shift_sum)
-            .min(u64::from(threads))
-            .max(1);
-        let ring_size = live_bound.next_power_of_two().min(1 << 20) as usize;
         let lat = &cfg.latencies;
         let meta: Vec<FireMeta> = phase
             .graph
@@ -198,12 +175,12 @@ impl<'a> PhaseExec<'a> {
             let is_eldst = matches!(phase.graph.kind(id), NodeKind::ELoad { .. });
             units.push(UnitState {
                 pending: if needs_store {
-                    arena.match_ring(ring_size)
+                    arena.match_ring()
                 } else {
                     Vec::new()
                 },
                 eldst: if is_eldst {
-                    arena.eldst_ring(ring_size)
+                    arena.eldst_ring()
                 } else {
                     Vec::new()
                 },
@@ -247,7 +224,6 @@ impl<'a> PhaseExec<'a> {
             units,
             active: vec![0u64; n.div_ceil(64)],
             meta,
-            ring_mask: (ring_size - 1) as u32,
             events: CalendarQueue::new(),
             seq: 0,
             handled: 0,
@@ -412,7 +388,6 @@ impl<'a> PhaseExec<'a> {
                 let mut tids: Vec<u32> = u
                     .eldst
                     .iter()
-                    .chain(u.eldst_spill.values())
                     .filter(|s| s.tag != EMPTY_TAG && s.state == EldstState::Parked)
                     .map(|s| s.tag)
                     .collect();
@@ -483,7 +458,7 @@ impl<'a> PhaseExec<'a> {
             let mut handled = 0u64;
             while let Some(ev) = self.events.pop_due() {
                 handled += 1;
-                match ev {
+                match Ev::from(ev) {
                     Ev::Batch { batch } => {
                         handled -= 1; // counted per token when freed below
                         let b = &self.batches[batch as usize];

@@ -1,18 +1,24 @@
-//! Matching-store and eLDST token-buffer state: the pooled ring
-//! allocations, their slots, and the per-node runtime state they live in.
+//! Matching-store and eLDST token-buffer state: the pooled live-span
+//! rings, their slots, and the per-node runtime state they live in.
 
 use super::events::TokenBatch;
 use super::fire::FireScratch;
 use super::phase::PhaseExec;
 use dmt_common::value::Word;
-use dmt_obs::{Obs, StoreKind};
-use std::collections::{HashMap, VecDeque};
+use dmt_obs::Obs;
+use std::collections::VecDeque;
+
+/// Slots a matching-store or eLDST ring starts a phase with. A ring
+/// doubles only when an arriving tid's slot is held by another live tid
+/// (see [`grow_until_free`]), so it ends sized to the span of tids live
+/// at once at its node, not to the in-flight window.
+const RING_START: usize = 16;
 
 /// Recycled matching-store / eLDST ring allocations, shared across the
 /// phases of one launch: a multi-phase kernel re-initializes one pooled
 /// allocation set per phase instead of allocating fresh rings in every
-/// `PhaseExec` (clearing retained capacity is a memset; the allocator
-/// round-trip is what the pool removes).
+/// `PhaseExec` (a ring keeps the capacity it grew to, so a later phase
+/// re-grows without an allocator round-trip).
 #[derive(Debug, Default)]
 pub(super) struct StoreArena {
     pub(super) match_rings: Vec<Vec<MatchSlot>>,
@@ -25,20 +31,20 @@ pub(super) struct StoreArena {
 }
 
 impl StoreArena {
-    /// A matching-store ring of exactly `size` empty slots, reusing a
+    /// A matching-store ring of [`RING_START`] empty slots, reusing a
     /// pooled allocation when one is available.
-    pub(super) fn match_ring(&mut self, size: usize) -> Vec<MatchSlot> {
+    pub(super) fn match_ring(&mut self) -> Vec<MatchSlot> {
         let mut ring = self.match_rings.pop().unwrap_or_default();
         ring.clear();
-        ring.resize(size, MatchSlot::EMPTY);
+        ring.resize(RING_START, MatchSlot::EMPTY);
         ring
     }
 
-    /// An eLDST token-buffer ring of exactly `size` empty slots, ditto.
-    pub(super) fn eldst_ring(&mut self, size: usize) -> Vec<EldstSlot> {
+    /// An eLDST token-buffer ring of [`RING_START`] empty slots, ditto.
+    pub(super) fn eldst_ring(&mut self) -> Vec<EldstSlot> {
         let mut ring = self.eldst_rings.pop().unwrap_or_default();
         ring.clear();
-        ring.resize(size, EldstSlot::EMPTY);
+        ring.resize(RING_START, EldstSlot::EMPTY);
         ring
     }
 }
@@ -46,7 +52,7 @@ impl StoreArena {
 /// Tag marking a matching-store or eLDST ring slot as free.
 pub(super) const EMPTY_TAG: u32 = u32::MAX;
 
-/// One window-indexed matching-store slot: a partially assembled operand
+/// One matching-store ring slot: a partially assembled operand
 /// set for thread `tag`. Unfilled ports read as zero when the set
 /// completes (matching the old `Option`-based store's `unwrap_or(ZERO)`).
 #[derive(Debug, Clone, Copy)]
@@ -57,12 +63,15 @@ pub(super) struct MatchSlot {
     pub(super) ops: [Word; 3],
 }
 
-impl MatchSlot {
+impl RingSlot for MatchSlot {
     const EMPTY: MatchSlot = MatchSlot {
         tag: EMPTY_TAG,
         filled: 0,
         ops: [Word::ZERO; 3],
     };
+    fn tag(&self) -> u32 {
+        self.tag
+    }
 }
 
 /// What an eLDST token-buffer entry holds for its thread.
@@ -82,70 +91,127 @@ pub(super) struct EldstSlot {
     pub(super) state: EldstState,
 }
 
-impl EldstSlot {
+impl RingSlot for EldstSlot {
     const EMPTY: EldstSlot = EldstSlot {
         tag: EMPTY_TAG,
         state: EldstState::Parked,
     };
+    fn tag(&self) -> u32 {
+        self.tag
+    }
+}
+
+/// A slot of a live-span ring: free, or owned by the thread its tag
+/// names, at index `tag & (len − 1)` of a power-of-two ring.
+pub(super) trait RingSlot: Copy {
+    /// The free slot.
+    const EMPTY: Self;
+    /// The owning tid, or [`EMPTY_TAG`].
+    fn tag(&self) -> u32;
+}
+
+/// Returns `tid`'s free slot in `ring`, doubling the ring while another
+/// live tid holds it (callers come here only on that collision). Doubling
+/// keeps every live slot at `tag & mask` (the mask gains one bit), so
+/// each one either stays or moves up by the old length, into the fresh
+/// upper half. Re-placement reports nothing to the observer: the slots
+/// it moves were claimed once and are freed once.
+#[inline(never)]
+pub(super) fn grow_until_free<S: RingSlot>(ring: &mut Vec<S>, tid: u32) -> usize {
+    let live = if cfg!(debug_assertions) {
+        placed_live(ring)
+    } else {
+        None
+    };
+    loop {
+        let n = ring.len();
+        let si = tid as usize & (n - 1);
+        let held = ring[si].tag();
+        if held == EMPTY_TAG {
+            return si;
+        }
+        // Two tids share a slot of `n` only when they differ by at least
+        // `n`, so the larger one is at least `n`: as every tid is below
+        // the launch's thread count, growth ends by
+        // `threads.next_power_of_two()` slots. Checked in release too —
+        // a misplaced slot would otherwise double the ring without end.
+        assert!(
+            held != tid && tid.max(held) as usize >= n,
+            "tids {tid} and {held} cannot share a slot of {n}"
+        );
+        ring.resize(2 * n, S::EMPTY);
+        for i in 0..n {
+            let tag = ring[i].tag();
+            if tag != EMPTY_TAG && tag as usize & n != 0 {
+                ring[i + n] = ring[i];
+                ring[i] = S::EMPTY;
+            }
+        }
+        debug_assert_eq!(placed_live(ring), live, "ring growth moved a slot");
+    }
+}
+
+/// The live-slot count of `ring` when every live slot sits at
+/// `tag & (len − 1)`, `None` when one does not.
+pub(super) fn placed_live<S: RingSlot>(ring: &[S]) -> Option<usize> {
+    let mask = ring.len() - 1;
+    let mut live = 0;
+    for (i, s) in ring.iter().enumerate() {
+        if s.tag() != EMPTY_TAG {
+            if s.tag() as usize & mask != i {
+                return None;
+            }
+            live += 1;
+        }
+    }
+    Some(live)
 }
 
 /// Per-node runtime state.
 #[derive(Debug, Default)]
 pub(super) struct UnitState {
-    /// Matching store: `tid & ring_mask`-indexed slots (empty for source
-    /// nodes, which are injected, never delivered to). The allocation is
-    /// pooled in a [`StoreArena`] across the launch's phases.
+    /// Matching store: a live-span ring of slots indexed
+    /// `tid & (len − 1)` (empty for single-operand nodes, which never
+    /// match). The allocation is pooled in a [`StoreArena`] across the
+    /// launch's phases.
     pub(super) pending: Vec<MatchSlot>,
-    /// Matching-store spill for tids whose ring slot is held by another
-    /// live tid. Empty in steady state; see the module docs.
-    pub(super) spill: HashMap<u32, MatchSlot>,
     /// Complete operand sets awaiting their firing slot.
     pub(super) ready: VecDeque<(u32, [Word; 3])>,
-    /// eLDST token buffer: forwarded values / parked threads, ring-indexed
-    /// like `pending` (allocated only for eLDST nodes, pooled likewise).
+    /// eLDST token buffer: forwarded values / parked threads, a
+    /// live-span ring like `pending` (allocated only for eLDST nodes,
+    /// pooled likewise).
     pub(super) eldst: Vec<EldstSlot>,
-    /// eLDST spill, mirroring `spill`.
-    pub(super) eldst_spill: HashMap<u32, EldstSlot>,
     /// Outstanding memory operations (LDST occupancy).
     pub(super) outstanding: u32,
 }
 
 impl<'a> PhaseExec<'a> {
     /// Removes and returns thread `tid`'s eLDST token-buffer entry at node
-    /// `ix`, following the same ring-then-spill discipline as the matching
-    /// store.
+    /// `ix`.
     pub(super) fn eldst_remove(&mut self, ix: usize, tid: u32) -> Option<EldstState> {
-        let si = (tid & self.ring_mask) as usize;
-        let unit = &mut self.units[ix];
-        if unit.eldst[si].tag == tid {
-            let state = unit.eldst[si].state;
-            unit.eldst[si] = EldstSlot::EMPTY;
-            self.obs.ring_free();
-            return Some(state);
+        let ring = &mut self.units[ix].eldst;
+        let si = tid as usize & (ring.len() - 1);
+        let slot = ring[si];
+        if slot.tag != tid {
+            return None;
         }
-        if unit.eldst_spill.is_empty() {
-            None
-        } else {
-            unit.eldst_spill.remove(&tid).map(|s| s.state)
-        }
+        ring[si] = EldstSlot::EMPTY;
+        self.obs.ring_free();
+        Some(slot.state)
     }
 
-    /// Inserts an eLDST token-buffer entry for `tid` at node `ix` (ring
-    /// slot when free, spill otherwise). The caller guarantees no entry
-    /// for `tid` exists (remove-before-insert discipline), so a tid never
-    /// holds both a ring slot and a spill entry.
+    /// Inserts an eLDST token-buffer entry for `tid` at node `ix`, growing
+    /// the ring when its slot is held by another thread. The caller
+    /// guarantees no entry for `tid` exists (remove-before-insert
+    /// discipline).
     pub(super) fn eldst_insert(&mut self, ix: usize, tid: u32, state: EldstState) {
-        let si = (tid & self.ring_mask) as usize;
-        let now = self.now;
-        let unit = &mut self.units[ix];
-        if unit.eldst[si].tag == EMPTY_TAG {
-            unit.eldst[si] = EldstSlot { tag: tid, state };
-            self.obs.ring_claim();
-        } else {
-            debug_assert_ne!(unit.eldst[si].tag, tid, "duplicate eLDST entry for {tid}");
-            self.obs.spill(StoreKind::Eldst, now, ix as u32);
-            unit.eldst_spill.insert(tid, EldstSlot { tag: tid, state });
+        let ring = &mut self.units[ix].eldst;
+        let mut si = tid as usize & (ring.len() - 1);
+        if ring[si].tag != EMPTY_TAG {
+            si = grow_until_free(ring, tid);
         }
+        ring[si] = EldstSlot { tag: tid, state };
+        self.obs.ring_claim();
     }
 }
 
@@ -153,64 +219,49 @@ impl<'a> PhaseExec<'a> {
 /// completed an operand set (pushed to `unit.ready`). A free function so
 /// batch sweeps can hoist the unit borrow and per-node lookups out of
 /// their token loop; `PhaseExec::deliver` wraps it for singles.
-#[allow(clippy::too_many_arguments)]
 #[inline]
 pub(super) fn deliver_into(
     unit: &mut UnitState,
     obs: &mut Obs,
     arity: u8,
-    mask: u32,
-    now: u64,
-    node: u32,
     port: u8,
     tid: u32,
     value: Word,
 ) -> bool {
     debug_assert_ne!(tid, EMPTY_TAG, "tid collides with the empty-slot tag");
+    let port_ix = usize::from(port);
     if arity == 1 {
         // A single-operand token is a complete set by itself: the ring
         // claim/free pair would cancel before the next occupancy sample,
         // so the store is bypassed entirely (and never allocated).
         let mut ops = [Word::ZERO; 3];
-        ops[port as usize] = value;
+        ops[port_ix] = value;
         unit.ready.push_back((tid, ops));
         return true;
     }
-    let si = (tid & mask) as usize;
-    // Resolve the slot for `tid`: its ring slot, its spill entry, or a
-    // fresh claim (ring when free, spill when occupied by another tid).
-    // A tid must never hold both a ring slot and a spill entry, so a
-    // spilled tid is looked up before an empty ring slot is claimed.
-    let ring_hit = unit.pending[si].tag == tid;
-    let slot: &mut MatchSlot = if ring_hit {
-        &mut unit.pending[si]
-    } else if !unit.spill.is_empty() && unit.spill.contains_key(&tid) {
-        unit.spill.get_mut(&tid).expect("present")
-    } else if unit.pending[si].tag == EMPTY_TAG {
-        obs.ring_claim();
-        let s = &mut unit.pending[si];
-        s.tag = tid;
-        s
-    } else {
-        obs.spill(StoreKind::Match, now, node);
-        unit.spill.entry(tid).or_insert(MatchSlot {
-            tag: tid,
-            ..MatchSlot::EMPTY
-        })
-    };
-    debug_assert_eq!(slot.filled & (1 << port), 0, "duplicate operand");
-    slot.filled |= 1 << port;
-    slot.ops[port as usize] = value;
-    if slot.filled.count_ones() == u32::from(arity) {
-        let ops = slot.ops;
-        if ring_hit || unit.pending[si].tag == tid {
-            unit.pending[si] = MatchSlot::EMPTY;
-            obs.ring_free();
-        } else {
-            unit.spill.remove(&tid);
+    let mut si = tid as usize & (unit.pending.len() - 1);
+    let tag = unit.pending[si].tag;
+    if tag != tid {
+        if tag != EMPTY_TAG {
+            si = grow_until_free(&mut unit.pending, tid);
         }
+        unit.pending[si].tag = tid;
+        obs.ring_claim();
+    }
+    let slot = &mut unit.pending[si];
+    debug_assert_eq!(slot.filled & (1 << port), 0, "duplicate operand");
+    let filled = slot.filled | 1 << port;
+    if filled.count_ones() == u32::from(arity) {
+        // Read the operands before writing the arriving one, so the
+        // completed set is assembled in registers instead of reloaded.
+        let mut ops = slot.ops;
+        ops[port_ix] = value;
+        *slot = MatchSlot::EMPTY;
+        obs.ring_free();
         unit.ready.push_back((tid, ops));
         return true;
     }
+    slot.filled = filled;
+    slot.ops[port_ix] = value;
     false
 }

@@ -1,7 +1,8 @@
 //! Engine-level tests that need the crate-private seam: the batched
 //! delivery path against the per-token one on the *same program*
-//! (`FabricMachine::run_with_delivery`), and the entry-point checks of
-//! `FabricMachine::run_limited`.
+//! (`FabricMachine::run_with_delivery`), the entry-point checks of
+//! `FabricMachine::run_limited`, and the engine's private structures —
+//! the packed calendar word and the live-span rings' growth.
 //!
 //! Public callers only ever get the path the one rule picks
 //! (`program.replication >= BATCH_MIN_REPLICATION`), so the differential
@@ -10,6 +11,8 @@
 //! full `RunStats` (totals and per phase), on the rendered profile
 //! artifact, and on the tracer's token accounting.
 
+use super::events::{Ev, Packed};
+use super::stores::{deliver_into, placed_live, EldstState, UnitState};
 use super::*;
 use crate::testutil::naive_program;
 use dmt_common::geom::{Delta, Dim3};
@@ -18,6 +21,7 @@ use dmt_common::value::Word;
 use dmt_dfg::node::NodeKind;
 use dmt_dfg::{interp, Kernel, KernelBuilder};
 use dmt_obs::TraceEvent;
+use std::collections::BTreeMap;
 
 const STORM_THREADS: u32 = 512;
 
@@ -289,4 +293,203 @@ fn zero_threads_injected_per_cycle_is_a_config_error_not_a_spin() {
     cfg.fabric.threads_injected_per_cycle = 0;
     let m = zero_width_error(cfg, 1);
     assert!(m.contains("fabric.threads_injected_per_cycle"), "{m}");
+}
+
+#[test]
+fn every_event_round_trips_through_its_packed_word() {
+    assert_eq!(std::mem::size_of::<Packed>(), 16);
+    let edges = [
+        (0, 0, 0, 0),
+        (u32::MAX, u8::MAX, u32::MAX - 1, u32::MAX),
+        (1, 2, 0x8000_0000, 0xdead_beef),
+    ];
+    for (node, port, tid, value) in edges {
+        let (node, value) = (NodeId(node), Word(value));
+        for ev in [
+            Ev::Deliver {
+                node,
+                port,
+                tid,
+                value,
+            },
+            Ev::EloadProduce { node, tid, value },
+            Ev::EloadOffer { node, tid, value },
+            Ev::Release { node },
+            Ev::SinkDone { tid },
+            Ev::Batch { batch: value.0 },
+        ] {
+            assert_eq!(Ev::from(Packed::from(ev)), ev);
+        }
+    }
+}
+
+/// Tids that all share slot 3 of a 16-slot ring. 35 and 3 still share
+/// one at 32 slots, so claiming 3 next to a live 35 doubles twice and
+/// moves 35 up to slot 35; 67 then doubles once more, to 128.
+const COLLIDING: [u32; 4] = [35, 3, 19, 67];
+
+/// The operand word tid `tid` sends on `port`.
+fn operand(tid: u32, port: u8) -> Word {
+    Word(tid * 10 + u32::from(port))
+}
+
+/// `tid`'s complete operand set at the given arity.
+fn operand_set(tid: u32, arity: u8) -> (u32, [Word; 3]) {
+    let mut ops = [Word::ZERO; 3];
+    for port in 0..arity {
+        ops[usize::from(port)] = operand(tid, port);
+    }
+    (tid, ops)
+}
+
+#[test]
+fn matching_ring_growth_is_invisible() {
+    for arity in [2u8, 3] {
+        let mut arena = StoreArena::default();
+        let mut unit = UnitState {
+            pending: arena.match_ring(),
+            ..UnitState::default()
+        };
+        let start = unit.pending.len();
+        let mut obs = Obs::new(false, true);
+        for port in 0..arity - 1 {
+            for (k, &tid) in COLLIDING.iter().enumerate() {
+                assert!(!deliver_into(
+                    &mut unit,
+                    &mut obs,
+                    arity,
+                    port,
+                    tid,
+                    operand(tid, port)
+                ));
+                if port == 0 && k == 1 {
+                    assert_eq!(unit.pending.len(), 4 * start, "two doublings");
+                }
+            }
+        }
+        // One claim per set, none for the slots growth moved.
+        assert_eq!(obs.ring_live(), COLLIDING.len() as u64);
+        assert_eq!(unit.pending.len(), 8 * start, "three doublings");
+        assert_eq!(placed_live(&unit.pending), Some(COLLIDING.len()));
+        // The last ports arrive in reverse: sets complete in that order.
+        let last = arity - 1;
+        for (k, &tid) in COLLIDING.iter().rev().enumerate() {
+            assert!(deliver_into(
+                &mut unit,
+                &mut obs,
+                arity,
+                last,
+                tid,
+                operand(tid, last)
+            ));
+            assert_eq!(obs.ring_live(), (COLLIDING.len() - k - 1) as u64);
+        }
+        let done: Vec<_> = unit.ready.drain(..).collect();
+        let want: Vec<_> = COLLIDING
+            .iter()
+            .rev()
+            .map(|&t| operand_set(t, arity))
+            .collect();
+        assert_eq!(done, want, "arity {arity}");
+        assert_eq!(placed_live(&unit.pending), Some(0));
+    }
+}
+
+#[test]
+fn matching_ring_matches_a_map_under_random_collisions() {
+    // Deterministic LCG; tids ≡ 5 (mod 16), so every one collides at
+    // the starting size and growth keeps firing as the live span widens.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut rng = move |n: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    };
+    let arity = 3u8;
+    let mut arena = StoreArena::default();
+    let mut unit = UnitState {
+        pending: arena.match_ring(),
+        ..UnitState::default()
+    };
+    let mut obs = Obs::new(false, true);
+    // Each tid's ports in a shuffled order, consumed from the back.
+    let mut todo: Vec<(u32, Vec<u8>)> = (0..200u32)
+        .map(|k| {
+            let mut ports = vec![0u8, 1, 2];
+            ports.swap(0, rng(3) as usize);
+            ports.swap(1, 1 + rng(2) as usize);
+            (5 + 16 * k, ports)
+        })
+        .collect();
+    let mut partial: BTreeMap<u32, u8> = BTreeMap::new();
+    let mut want = Vec::new();
+    while !todo.is_empty() {
+        // Favour the oldest tids so the live span slides forward.
+        let i = rng(todo.len().min(24) as u64) as usize;
+        let (tid, port) = (todo[i].0, todo[i].1.pop().expect("non-empty"));
+        if todo[i].1.is_empty() {
+            todo.remove(i);
+        }
+        let filled = partial.entry(tid).or_insert(0);
+        *filled += 1;
+        let completes = *filled == arity;
+        if completes {
+            partial.remove(&tid);
+            want.push(operand_set(tid, arity));
+        }
+        let got = deliver_into(&mut unit, &mut obs, arity, port, tid, operand(tid, port));
+        assert_eq!(got, completes, "tid {tid} port {port}");
+        assert_eq!(obs.ring_live(), partial.len() as u64);
+        assert_eq!(placed_live(&unit.pending), Some(partial.len()));
+    }
+    assert_eq!(unit.ready.drain(..).collect::<Vec<_>>(), want);
+    assert!(unit.pending.len() > 16, "growth exercised");
+}
+
+#[test]
+fn eldst_ring_growth_is_invisible() {
+    let kernel = eldst_kernel(8, 256);
+    let program = naive_program(&kernel, 12);
+    let ix = comm_nodes(&program)[0].index();
+    let cfg = SystemConfig::default();
+    let params = [Word::from_u32(0), Word::from_u32(128)];
+    let mut arena = StoreArena::default();
+    let mut obs = Obs::new(false, true);
+    let mut exec = PhaseExec::new(
+        &cfg,
+        &program,
+        &program.phases[0],
+        0,
+        &params,
+        0,
+        1,
+        &mut arena,
+        &mut obs,
+        false,
+    );
+    let start = exec.units[ix].eldst.len();
+    let state = |k: usize, tid: u32| {
+        if k % 2 == 0 {
+            EldstState::Fwd(operand(tid, 0))
+        } else {
+            EldstState::Parked
+        }
+    };
+    for (k, &tid) in COLLIDING.iter().enumerate() {
+        exec.eldst_insert(ix, tid, state(k, tid));
+        assert_eq!(exec.obs.ring_live(), k as u64 + 1);
+        if k == 1 {
+            assert_eq!(exec.units[ix].eldst.len(), 4 * start, "two doublings");
+        }
+    }
+    assert_eq!(exec.units[ix].eldst.len(), 8 * start, "three doublings");
+    assert_eq!(placed_live(&exec.units[ix].eldst), Some(COLLIDING.len()));
+    // 131 aliases the live 3 even at 128 slots: a miss, not a hit.
+    assert_eq!(exec.eldst_remove(ix, 131), None);
+    for (k, &tid) in COLLIDING.iter().enumerate() {
+        assert_eq!(exec.eldst_remove(ix, tid), Some(state(k, tid)));
+        assert_eq!(exec.eldst_remove(ix, tid), None);
+        assert_eq!(exec.obs.ring_live(), (COLLIDING.len() - k - 1) as u64);
+    }
 }

@@ -223,8 +223,9 @@ impl Obs {
         }
     }
 
-    /// Records a matching-store / eLDST ring overflow into the spill map
-    /// at `node`.
+    /// Records a matching-store / eLDST ring overflow into a spill map
+    /// at `node`. The fabric engine's rings grow instead of spilling, so
+    /// it never calls this; see [`RunProfile::spills`].
     #[inline]
     pub fn spill(&mut self, kind: StoreKind, cycle: u64, node: u32) {
         if !self.on {
@@ -254,6 +255,13 @@ impl Obs {
         if self.on {
             self.ring_live = self.ring_live.saturating_sub(1);
         }
+    }
+
+    /// Ring slots currently occupied: claims minus frees so far (0 on a
+    /// disabled handle).
+    #[must_use]
+    pub fn ring_live(&self) -> u64 {
+        self.ring_live
     }
 
     /// Tracks the calendar queue's depth high-water mark (call once per

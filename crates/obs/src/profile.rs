@@ -74,7 +74,9 @@ pub struct RunProfile {
     pub edge_tokens: HashMap<(u32, u32, u32), u64>,
     /// Token totals per [`EdgeClass`].
     pub class_tokens: [u64; 3],
-    /// Spill totals per [`StoreKind`].
+    /// Spill totals per [`StoreKind`]. Always 0 from the fabric engine,
+    /// whose matching and eLDST rings grow instead of spilling; the field
+    /// stays so the `spills` key of the profile artifact keeps its schema.
     pub spills: [u64; 2],
     /// Occupied-ring-slot counts at sample boundaries.
     pub ring_occupancy: Histogram,
