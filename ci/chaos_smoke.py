@@ -292,15 +292,22 @@ def serve_scenario(serve_bin, out):
                 "jobs": [
                     {"bench": "scan", "arch": "dmt_cgra"},
                     {"bench": "scan", "arch": "mt_cgra", "deadline_cycles": 1},
+                    # Out of its leaf's domain: before validation, this
+                    # allocation aborted the daemon.
+                    {
+                        "bench": "scan",
+                        "arch": "dmt_cgra",
+                        "config": {"mem.l1.banks": 4000000000},
+                    },
                 ],
             }
         )
         check(resp.get("ok") is True, "daemon accepts the chaos submit")
-        normal, timed = (job["job_hash"] for job in resp["jobs"])
+        normal, timed, refused = (job["job_hash"] for job in resp["jobs"])
 
         states = {}
         poll_deadline = time.monotonic() + 300
-        for job_hash in (normal, timed):
+        for job_hash in (normal, timed, refused):
             while True:
                 status = client.req({"verb": "status", "job_hash": job_hash})
                 state = status.get("state")
@@ -320,6 +327,13 @@ def serve_scenario(serve_bin, out):
             states[timed]["attempts"] == 1,
             "a timeout is permanent: no retry burned on it",
         )
+        artifact = client.req({"verb": "result", "job_hash": refused}).get("artifact", {})
+        check(
+            states[refused]["state"] == "done"
+            and artifact.get("status") == "infeasible"
+            and "mem.l1.banks must be at most" in artifact.get("error", ""),
+            "an out-of-domain override settles infeasible, naming its leaf",
+        )
         check(
             client.injected == 1,
             "exactly one response was poisoned and the client retried through it",
@@ -329,7 +343,10 @@ def serve_scenario(serve_bin, out):
 
         metrics = client.req({"verb": "metrics"})
         check(metrics["jobs"]["timed_out"] == 1, "metrics count the timeout")
-        check(metrics["jobs"]["done"] == 1, "metrics count the completion")
+        check(
+            metrics["jobs"]["done"] == 2,
+            "metrics count the completion and the refused override",
+        )
         check(
             metrics["requests"]["bad"] == 4,
             "metrics count the four refused lines as bad requests",

@@ -6,6 +6,9 @@
 //! syntax; `SystemConfig::default()` is the Table 2 machine.
 
 use std::fmt;
+use std::ops::RangeInclusive;
+
+use crate::error::{Error, Result};
 
 /// Functional-unit classes populating the CGRA grid (§4, Fig 7).
 ///
@@ -55,339 +58,6 @@ impl fmt::Display for UnitClass {
     }
 }
 
-/// CGRA grid composition (Table 2: 140 interconnected units).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridConfig {
-    /// Number of integer ALUs.
-    pub alus: u32,
-    /// Number of floating-point units.
-    pub fpus: u32,
-    /// Number of special compute units.
-    pub specials: u32,
-    /// Number of load/store units (each convertible to eLDST).
-    pub ldsts: u32,
-    /// Number of split/join units.
-    pub sjus: u32,
-    /// Number of control units (each convertible to an elevator node).
-    pub controls: u32,
-}
-
-impl GridConfig {
-    /// Units available in a class pool.
-    #[must_use]
-    pub fn capacity(&self, class: UnitClass) -> u32 {
-        match class {
-            UnitClass::Alu => self.alus,
-            UnitClass::Fpu => self.fpus,
-            UnitClass::Special => self.specials,
-            UnitClass::LoadStore => self.ldsts,
-            UnitClass::SplitJoin => self.sjus,
-            UnitClass::Control => self.controls,
-        }
-    }
-
-    /// Total number of functional units in the grid.
-    #[must_use]
-    pub fn total_units(&self) -> u32 {
-        UnitClass::ALL.iter().map(|&c| self.capacity(c)).sum()
-    }
-}
-
-impl Default for GridConfig {
-    /// Table 2: 32 ALUs, 32 FPUs, 12 SCUs, 32 LDSTs, 16 SJUs, 16 CUs.
-    fn default() -> GridConfig {
-        GridConfig {
-            alus: 32,
-            fpus: 32,
-            specials: 12,
-            ldsts: 32,
-            sjus: 16,
-            controls: 16,
-        }
-    }
-}
-
-/// Fabric micro-architecture parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FabricConfig {
-    /// Entries in each elevator/eLDST token buffer; bounds the ΔTID a single
-    /// node can shift (§4.3; default 16 per Fig 5 discussion).
-    pub token_buffer_entries: u32,
-    /// In-flight memory requests a load/store unit can track (its internal
-    /// request queue; SGMF LDST units pipeline many outstanding accesses —
-    /// this is distinct from the 16-entry elevator token buffer).
-    pub ldst_queue_entries: u32,
-    /// Maximum threads concurrently in flight in the fabric. Matching
-    /// stores are indexed `tid mod inflight_threads`, and the injector only
-    /// admits thread `t` once thread `t − inflight_threads` retired.
-    pub inflight_threads: u32,
-    /// NoC latency per routing hop, in core cycles.
-    pub noc_hop_latency: u64,
-    /// Threads injected per cycle ("a new thread can thus be injected into
-    /// the computational fabric on every cycle", §3).
-    pub threads_injected_per_cycle: u32,
-    /// Side length of the square placement grid (`grid_width²` slots must
-    /// hold every configured unit).
-    pub grid_width: u32,
-    /// Cycles to reconfigure the fabric between barrier-delimited phases
-    /// ("the configuration process itself is lightweight", §3).
-    pub reconfiguration_cycles: u64,
-}
-
-impl Default for FabricConfig {
-    fn default() -> FabricConfig {
-        FabricConfig {
-            token_buffer_entries: 16,
-            ldst_queue_entries: 256,
-            inflight_threads: 2048,
-            noc_hop_latency: 1,
-            threads_injected_per_cycle: 1,
-            grid_width: 12,
-            reconfiguration_cycles: 16,
-        }
-    }
-}
-
-/// Pipeline latencies per unit class, in core cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnitLatencies {
-    /// Integer ALU operation latency.
-    pub alu: u64,
-    /// Floating-point operation latency.
-    pub fpu: u64,
-    /// Special-function (div/sqrt/exp) latency.
-    pub special: u64,
-    /// Control (select/compare/bitwise) latency.
-    pub control: u64,
-    /// Split/join pass-through latency.
-    pub sju: u64,
-    /// Elevator re-tagging latency.
-    pub elevator: u64,
-    /// Load/store issue latency (memory latency comes from the hierarchy).
-    pub ldst_issue: u64,
-}
-
-impl Default for UnitLatencies {
-    fn default() -> UnitLatencies {
-        UnitLatencies {
-            alu: 1,
-            fpu: 4,
-            special: 8,
-            control: 1,
-            sju: 1,
-            elevator: 1,
-            ldst_issue: 1,
-        }
-    }
-}
-
-/// Write policy of a cache level (§5.1: dMT-CGRA uses write-back +
-/// write-allocate L1; Fermi uses write-through + write-no-allocate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WritePolicy {
-    /// Write-back, write-allocate.
-    #[default]
-    WriteBackAllocate,
-    /// Write-through, write-no-allocate.
-    WriteThroughNoAllocate,
-}
-
-/// Geometry and timing of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Total capacity in bytes.
-    pub size_bytes: u64,
-    /// Line size in bytes.
-    pub line_bytes: u64,
-    /// Associativity.
-    pub ways: u32,
-    /// Number of independent banks (one access per bank per cycle).
-    pub banks: u32,
-    /// Hit latency in core cycles.
-    pub hit_latency: u64,
-    /// Miss-status holding registers: maximum outstanding misses.
-    pub mshrs: u32,
-    /// Write policy.
-    pub write_policy: WritePolicy,
-}
-
-impl CacheConfig {
-    /// Number of sets; capacity / (line × ways).
-    #[must_use]
-    pub fn sets(&self) -> u64 {
-        self.size_bytes / (self.line_bytes * u64::from(self.ways))
-    }
-}
-
-/// GDDR5-like DRAM model (Table 2: 16 banks, 6 channels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DramConfig {
-    /// Independent channels; requests are interleaved by line address.
-    pub channels: u32,
-    /// Banks per channel; a bank is busy for `bank_busy_cycles` per access.
-    pub banks_per_channel: u32,
-    /// Access latency in core cycles (row activate + CAS at 0.924 GHz,
-    /// expressed in the 1.4 GHz core domain).
-    pub latency: u64,
-    /// Cycles a bank stays busy per line transfer (bandwidth model).
-    pub bank_busy_cycles: u64,
-}
-
-impl Default for DramConfig {
-    fn default() -> DramConfig {
-        DramConfig {
-            channels: 6,
-            banks_per_channel: 16,
-            latency: 220,
-            bank_busy_cycles: 16,
-        }
-    }
-}
-
-/// Shared-memory scratchpad (used only by the GPGPU and MT-CGRA baselines;
-/// the dMT-CGRA programming model eliminates it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScratchpadConfig {
-    /// Capacity in bytes (Fermi: 48 KiB).
-    pub size_bytes: u64,
-    /// Banks; conflicting accesses within a warp serialize.
-    pub banks: u32,
-    /// Access latency in core cycles.
-    pub latency: u64,
-}
-
-impl Default for ScratchpadConfig {
-    fn default() -> ScratchpadConfig {
-        ScratchpadConfig {
-            size_bytes: 48 * 1024,
-            banks: 32,
-            latency: 24,
-        }
-    }
-}
-
-/// Live Value Cache: the compiler-managed spill buffer used when a ΔTID is
-/// too large even for cascaded elevator nodes (§4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LvcConfig {
-    /// Capacity in 32-bit entries.
-    pub entries: u32,
-    /// Access latency in core cycles.
-    pub latency: u64,
-}
-
-impl Default for LvcConfig {
-    fn default() -> LvcConfig {
-        LvcConfig {
-            entries: 2048,
-            latency: 4,
-        }
-    }
-}
-
-/// The complete memory-system configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemConfig {
-    /// L1 data cache (64 KB, 32 banks, 128 B lines, 4-way).
-    pub l1: CacheConfig,
-    /// L2 cache (768 KB, 6 banks, 128 B lines, 16-way).
-    pub l2: CacheConfig,
-    /// DRAM.
-    pub dram: DramConfig,
-    /// Shared-memory scratchpad.
-    pub scratchpad: ScratchpadConfig,
-    /// Live Value Cache.
-    pub lvc: LvcConfig,
-}
-
-impl Default for MemConfig {
-    fn default() -> MemConfig {
-        MemConfig {
-            l1: CacheConfig {
-                size_bytes: 64 * 1024,
-                line_bytes: 128,
-                ways: 4,
-                banks: 32,
-                hit_latency: 24,
-                mshrs: 64,
-                write_policy: WritePolicy::WriteBackAllocate,
-            },
-            l2: CacheConfig {
-                size_bytes: 768 * 1024,
-                line_bytes: 128,
-                ways: 16,
-                banks: 6,
-                hit_latency: 60,
-                mshrs: 64,
-                write_policy: WritePolicy::WriteBackAllocate,
-            },
-            dram: DramConfig::default(),
-            scratchpad: ScratchpadConfig::default(),
-            lvc: LvcConfig::default(),
-        }
-    }
-}
-
-/// Fermi-SM baseline parameters (§5.1: "the amount of logic found in a
-/// dMT-CGRA core is approximately the same as in an Nvidia SM").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GpuConfig {
-    /// SIMT width: lanes issued per cycle.
-    pub warp_width: u32,
-    /// Maximum resident warps per SM (Fermi: 48).
-    pub max_warps: u32,
-    /// Instruction issue latency floor (cycles between dependent issues).
-    pub issue_latency: u64,
-    /// ALU instruction latency.
-    pub alu_latency: u64,
-    /// FPU instruction latency.
-    pub fpu_latency: u64,
-    /// Special-function instruction latency.
-    pub sfu_latency: u64,
-    /// Number of special-function lanes (Fermi: 4 SFUs per SM); a warp's
-    /// SFU instruction occupies `warp_width / sfu_lanes` issue slots.
-    pub sfu_lanes: u32,
-}
-
-impl Default for GpuConfig {
-    fn default() -> GpuConfig {
-        GpuConfig {
-            warp_width: 32,
-            max_warps: 48,
-            issue_latency: 1,
-            alu_latency: 4,
-            fpu_latency: 4,
-            sfu_latency: 16,
-            sfu_lanes: 4,
-        }
-    }
-}
-
-/// Clock frequencies (Table 2), used for cross-domain latency scaling and
-/// leakage-energy accounting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClockConfig {
-    /// Core and fabric clock, GHz.
-    pub core_ghz: f64,
-    /// Interconnect clock, GHz.
-    pub interconnect_ghz: f64,
-    /// L2 clock, GHz.
-    pub l2_ghz: f64,
-    /// DRAM clock, GHz.
-    pub dram_ghz: f64,
-}
-
-impl Default for ClockConfig {
-    fn default() -> ClockConfig {
-        ClockConfig {
-            core_ghz: 1.4,
-            interconnect_ghz: 1.4,
-            l2_ghz: 0.7,
-            dram_ghz: 0.924,
-        }
-    }
-}
-
 /// The complete configuration of one simulated machine. `default()` is the
 /// paper's Table 2 system.
 ///
@@ -411,7 +81,7 @@ impl Default for ClockConfig {
 /// };
 /// assert_eq!(small.fabric.token_buffer_entries, 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// CGRA grid composition.
     pub grid: GridConfig,
@@ -432,367 +102,450 @@ pub struct SystemConfig {
 /// Produced by [`SystemConfig::visit_fields`]; consumers that need a
 /// stable identity for a configuration (job hashing, artifact metadata)
 /// fold these instead of relying on struct layout or `Debug` output.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub enum CfgValue {
     /// An unsigned integer field (`u32`/`u64` widened to `u64`).
     U64(u64),
     /// A floating-point field (clock frequencies).
     F64(f64),
-    /// An enumerated field, identified by its variant name.
-    Tag(&'static str),
 }
 
-impl WritePolicy {
-    /// The canonical variant name (used by [`SystemConfig::visit_fields`]).
-    #[must_use]
-    pub fn tag(self) -> &'static str {
+impl fmt::Display for CfgValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WritePolicy::WriteBackAllocate => "write_back_allocate",
-            WritePolicy::WriteThroughNoAllocate => "write_through_no_allocate",
-        }
-    }
-
-    /// Parses a canonical variant name (the inverse of
-    /// [`WritePolicy::tag`]).
-    #[must_use]
-    pub fn from_tag(tag: &str) -> Option<WritePolicy> {
-        match tag {
-            "write_back_allocate" => Some(WritePolicy::WriteBackAllocate),
-            "write_through_no_allocate" => Some(WritePolicy::WriteThroughNoAllocate),
-            _ => None,
+            CfgValue::U64(n) => write!(f, "{n}"),
+            CfgValue::F64(x) => write!(f, "{x}"),
         }
     }
 }
 
-/// A runtime-supplied value for [`SystemConfig::set_field`] — the
-/// write-side counterpart of [`CfgValue`], with a borrowed tag so
-/// callers can pass strings parsed from requests or files.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CfgInput<'a> {
-    /// An unsigned integer value.
-    U64(u64),
-    /// A floating-point value.
-    F64(f64),
-    /// An enumerated value by its canonical variant name.
-    Tag(&'a str),
+/// One row of the leaf list as [`SystemConfig::visit_fields`] yields it:
+/// a scalar leaf's dotted name, its current value and its domain.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Leaf {
+    /// Dotted path from the [`SystemConfig`] root, e.g. `fabric.grid_width`.
+    pub name: &'static str,
+    /// The current value.
+    pub value: CfgValue,
+    /// The values [`SystemConfig::validate`] admits.
+    pub domain: RangeInclusive<CfgValue>,
 }
 
-impl From<CfgValue> for CfgInput<'static> {
-    fn from(v: CfgValue) -> CfgInput<'static> {
+impl Leaf {
+    fn new<T: LeafType>(name: &'static str, value: T, domain: RangeInclusive<T>) -> Leaf {
+        let (lo, hi) = domain.into_inner();
+        Leaf {
+            name,
+            value: value.to_cfg(),
+            domain: lo.to_cfg()..=hi.to_cfg(),
+        }
+    }
+
+    /// Names the leaf and the bound it breaks when the value lies
+    /// outside its domain (a NaN lies below every domain).
+    fn check(&self) -> std::result::Result<(), String> {
+        let (name, lo, hi) = (self.name, self.domain.start(), self.domain.end());
+        if self.domain.contains(&self.value) {
+            Ok(())
+        } else if self.value > *hi {
+            Err(format!("{name} must be at most {hi}"))
+        } else {
+            Err(format!("{name} must be at least {lo}"))
+        }
+    }
+}
+
+/// A Rust type a leaf may have, and its canonical [`CfgValue`] form.
+trait LeafType: Copy {
+    fn to_cfg(self) -> CfgValue;
+    /// `None` when the type cannot hold `v`.
+    fn from_cfg(v: CfgValue) -> Option<Self>;
+}
+
+impl LeafType for u64 {
+    fn to_cfg(self) -> CfgValue {
+        CfgValue::U64(self)
+    }
+    fn from_cfg(v: CfgValue) -> Option<u64> {
         match v {
-            CfgValue::U64(n) => CfgInput::U64(n),
-            CfgValue::F64(x) => CfgInput::F64(x),
-            CfgValue::Tag(t) => CfgInput::Tag(t),
+            CfgValue::U64(n) => Some(n),
+            CfgValue::F64(_) => None,
         }
     }
+}
+
+impl LeafType for u32 {
+    fn to_cfg(self) -> CfgValue {
+        CfgValue::U64(self.into())
+    }
+    fn from_cfg(v: CfgValue) -> Option<u32> {
+        u64::from_cfg(v).and_then(|n| u32::try_from(n).ok())
+    }
+}
+
+impl LeafType for f64 {
+    fn to_cfg(self) -> CfgValue {
+        CfgValue::F64(self)
+    }
+    fn from_cfg(v: CfgValue) -> Option<f64> {
+        match v {
+            CfgValue::F64(x) => Some(x),
+            // Whole numbers arrive as integers from JSON ("2" not "2.0");
+            // widen rather than bounce the request.
+            #[allow(clippy::cast_precision_loss)]
+            CfgValue::U64(n) => Some(n as f64),
+        }
+    }
+}
+
+/// Generates the leaf structs and the field reflection of [`SystemConfig`]
+/// from the leaf list it is invoked with: each struct, the `Default`
+/// impls, [`SystemConfig::visit_fields`] and [`SystemConfig::set_field`].
+///
+/// A row reads `leaf: type = default, domain;` under its doc comment; the
+/// two cache levels share one row per leaf, with the L1 default first. A
+/// domain may name leaves of its own struct listed before it (they are
+/// bound while the row's bounds are computed). The containers
+/// [`SystemConfig`] and [`MemConfig`] are written by hand, and their
+/// `Default` is one struct literal, so a field there with no section in
+/// the list does not compile ("missing field").
+macro_rules! config_leaves {
+    (
+        $mem:ident: $Mem:ident {
+            $(#[$cache_attr:meta])*
+            $l1:ident, $l2:ident: $Cache:ident {
+                $($(#[$cf_attr:meta])* $cf:ident: $ct:ty = $cd1:expr, $cd2:expr, $cdom:expr;)*
+            }
+            $($(#[$ms_attr:meta])* $ms:ident: $MS:ident {
+                $($(#[$mf_attr:meta])* $mf:ident: $mt:ty = $md:expr, $mdom:expr;)*
+            })*
+        }
+        $($(#[$s_attr:meta])* $s:ident: $S:ident {
+            $($(#[$f_attr:meta])* $f:ident: $t:ty = $d:expr, $dom:expr;)*
+        })*
+    ) => {
+        $(#[$cache_attr])*
+        pub struct $Cache { $($(#[$cf_attr])* pub $cf: $ct,)* }
+        $($(#[$ms_attr])* pub struct $MS { $($(#[$mf_attr])* pub $mf: $mt,)* })*
+        $($(#[$s_attr])* pub struct $S { $($(#[$f_attr])* pub $f: $t,)* })*
+
+        impl Default for $Mem {
+            fn default() -> $Mem {
+                $Mem {
+                    $l1: $Cache { $($cf: $cd1),* },
+                    $l2: $Cache { $($cf: $cd2),* },
+                    $($ms: $MS { $($mf: $md),* }),*
+                }
+            }
+        }
+
+        $(impl Default for $S {
+            fn default() -> $S {
+                $S { $($f: $d),* }
+            }
+        })*
+
+        impl Default for SystemConfig {
+            fn default() -> SystemConfig {
+                SystemConfig { $mem: $Mem::default(), $($s: $S::default()),* }
+            }
+        }
+
+        impl SystemConfig {
+            /// Visits every scalar leaf, with its dotted name, value and
+            /// domain, in the order of the leaf list in this module's
+            /// source.
+            ///
+            /// That list is the single declaration of the leaves, so a
+            /// config hash built on this visit can never silently ignore a
+            /// knob. Consumers that need order-independence must still
+            /// sort by name (see `dmt-runner`'s stable hasher).
+            pub fn visit_fields(&self, visit: &mut impl FnMut(Leaf)) {
+                let $Cache { $($cf),* } = self.$mem.$l1;
+                $(visit(Leaf::new::<$ct>(
+                    concat!(stringify!($mem), ".", stringify!($l1), ".", stringify!($cf)),
+                    $cf,
+                    $cdom,
+                ));)*
+                let $Cache { $($cf),* } = self.$mem.$l2;
+                $(visit(Leaf::new::<$ct>(
+                    concat!(stringify!($mem), ".", stringify!($l2), ".", stringify!($cf)),
+                    $cf,
+                    $cdom,
+                ));)*
+                $(
+                    let $MS { $($mf),* } = self.$mem.$ms;
+                    $(visit(Leaf::new::<$mt>(
+                        concat!(stringify!($mem), ".", stringify!($ms), ".", stringify!($mf)),
+                        $mf,
+                        $mdom,
+                    ));)*
+                )*
+                $(
+                    let $S { $($f),* } = self.$s;
+                    $(visit(Leaf::new::<$t>(concat!(stringify!($s), ".", stringify!($f)), $f, $dom));)*
+                )*
+            }
+
+            /// Sets one scalar leaf by its [`SystemConfig::visit_fields`]
+            /// dotted name — the write half of the field reflection that
+            /// `dmt-serve` uses to apply per-request configuration
+            /// overrides. The domain is not checked here;
+            /// [`SystemConfig::validate`] checks it before a run.
+            ///
+            /// # Errors
+            ///
+            /// Returns a message for an unknown field name, or a value the
+            /// leaf's type cannot hold (a float for an integer leaf, an
+            /// integer wider than the leaf), leaving the config untouched.
+            pub fn set_field(&mut self, name: &str, value: CfgValue) -> std::result::Result<(), String> {
+                let held = match name {
+                    $(concat!(stringify!($mem), ".", stringify!($l1), ".", stringify!($cf)) =>
+                        <$ct>::from_cfg(value).map(|v| self.$mem.$l1.$cf = v),)*
+                    $(concat!(stringify!($mem), ".", stringify!($l2), ".", stringify!($cf)) =>
+                        <$ct>::from_cfg(value).map(|v| self.$mem.$l2.$cf = v),)*
+                    $($(concat!(stringify!($mem), ".", stringify!($ms), ".", stringify!($mf)) =>
+                        <$mt>::from_cfg(value).map(|v| self.$mem.$ms.$mf = v),)*)*
+                    $($(concat!(stringify!($s), ".", stringify!($f)) =>
+                        <$t>::from_cfg(value).map(|v| self.$s.$f = v),)*)*
+                    _ => return Err(format!("unknown config field {name:?}")),
+                };
+                held.ok_or_else(|| format!("{name} cannot hold {value}"))
+            }
+        }
+    };
+}
+
+/// Largest latency or busy time a leaf may take, in core cycles: far above
+/// every Table 2 value, and small enough that no cycle sum overflows.
+const MAX_CYCLES: u64 = 1 << 16;
+/// Largest cache or scratchpad capacity in bytes; bounds the tag array a
+/// cache level allocates.
+const MAX_BYTES: u64 = 1 << 24;
+/// Largest unit pool of one class, and largest bank, way or MSHR count.
+const MAX_UNITS: u32 = 4096;
+
+// The leaf list: every scalar of a `SystemConfig` with its doc, type,
+// Table 2 default and the domain `validate` admits. Lower bounds of 1 mark
+// counts the engines divide by or size by; upper bounds cap every
+// allocation a leaf sizes and keep every product of leaves inside its
+// integer type.
+config_leaves! {
+    mem: MemConfig {
+        /// Geometry and timing of one cache level.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        l1, l2: CacheConfig {
+            /// Line size in bytes.
+            line_bytes: u64 = 128, 128, 4..=4096;
+            /// Associativity.
+            ways: u32 = 4, 16, 1..=MAX_UNITS;
+            /// Number of independent banks (one access per bank per cycle).
+            banks: u32 = 32, 6, 1..=MAX_UNITS;
+            /// Hit latency in core cycles.
+            hit_latency: u64 = 24, 60, 0..=MAX_CYCLES;
+            /// Miss-status holding registers: maximum outstanding misses.
+            mshrs: u32 = 64, 64, 1..=MAX_UNITS;
+            // Last: its bound reads `line_bytes` and `ways`, so a bad one of
+            // those is reported by its own name first.
+            /// Total capacity in bytes; at least one set of `line_bytes × ways`.
+            size_bytes: u64 = 64 * 1024, 768 * 1024,
+                line_bytes.saturating_mul(ways.into())..=MAX_BYTES;
+        }
+        /// GDDR5-like DRAM model (Table 2: 16 banks, 6 channels).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        dram: DramConfig {
+            /// Independent channels; requests are interleaved by line address.
+            channels: u32 = 6, 1..=64;
+            /// Banks per channel; a bank is busy for `bank_busy_cycles` per access.
+            banks_per_channel: u32 = 16, 1..=256;
+            /// Access latency in core cycles (row activate + CAS at 0.924 GHz,
+            /// expressed in the 1.4 GHz core domain).
+            latency: u64 = 220, 0..=MAX_CYCLES;
+            /// Cycles a bank stays busy per line transfer (bandwidth model).
+            bank_busy_cycles: u64 = 16, 0..=MAX_CYCLES;
+        }
+        /// Shared-memory scratchpad (used only by the GPGPU and MT-CGRA baselines;
+        /// the dMT-CGRA programming model eliminates it).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        scratchpad: ScratchpadConfig {
+            /// Capacity in bytes (Fermi: 48 KiB).
+            size_bytes: u64 = 48 * 1024, 0..=MAX_BYTES;
+            /// Banks; conflicting accesses within a warp serialize.
+            banks: u32 = 32, 1..=MAX_UNITS;
+            /// Access latency in core cycles.
+            latency: u64 = 24, 0..=MAX_CYCLES;
+        }
+        /// Live Value Cache: the compiler-managed spill buffer used when a ΔTID is
+        /// too large even for cascaded elevator nodes (§4.3).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        lvc: LvcConfig {
+            /// Capacity in 32-bit entries.
+            entries: u32 = 2048, 1..=1 << 20;
+            /// Access latency in core cycles.
+            latency: u64 = 4, 0..=MAX_CYCLES;
+        }
+    }
+    /// CGRA grid composition (Table 2: 140 interconnected units).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    grid: GridConfig {
+        /// Number of integer ALUs.
+        alus: u32 = 32, 1..=MAX_UNITS;
+        /// Number of floating-point units.
+        fpus: u32 = 32, 1..=MAX_UNITS;
+        /// Number of special compute units.
+        specials: u32 = 12, 1..=MAX_UNITS;
+        /// Number of load/store units (each convertible to eLDST).
+        ldsts: u32 = 32, 1..=MAX_UNITS;
+        /// Number of split/join units.
+        sjus: u32 = 16, 1..=MAX_UNITS;
+        /// Number of control units (each convertible to an elevator node).
+        controls: u32 = 16, 1..=MAX_UNITS;
+    }
+    /// Fabric micro-architecture parameters.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    fabric: FabricConfig {
+        /// Entries in each elevator/eLDST token buffer; bounds the ΔTID a single
+        /// node can shift (§4.3; default 16 per Fig 5 discussion).
+        token_buffer_entries: u32 = 16, 1..=MAX_UNITS;
+        /// In-flight memory requests a load/store unit can track (its internal
+        /// request queue; SGMF LDST units pipeline many outstanding accesses —
+        /// this is distinct from the 16-entry elevator token buffer).
+        ldst_queue_entries: u32 = 256, 1..=1 << 16;
+        /// Maximum threads concurrently in flight in the fabric. Matching
+        /// stores are indexed `tid mod inflight_threads`, and the injector only
+        /// admits thread `t` once thread `t − inflight_threads` retired.
+        inflight_threads: u32 = 2048, 1..=1 << 16;
+        /// NoC latency per routing hop, in core cycles.
+        noc_hop_latency: u64 = 1, 0..=MAX_CYCLES;
+        /// Threads injected per cycle ("a new thread can thus be injected into
+        /// the computational fabric on every cycle", §3).
+        threads_injected_per_cycle: u32 = 1, 1..=1024;
+        /// Side length of the square placement grid (`grid_width²` slots must
+        /// hold every configured unit).
+        grid_width: u32 = 12, 1..=256;
+        /// Cycles to reconfigure the fabric between barrier-delimited phases
+        /// ("the configuration process itself is lightweight", §3).
+        reconfiguration_cycles: u64 = 16, 0..=MAX_CYCLES;
+    }
+    /// Pipeline latencies per unit class, in core cycles.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    latencies: UnitLatencies {
+        /// Integer ALU operation latency.
+        alu: u64 = 1, 0..=MAX_CYCLES;
+        /// Floating-point operation latency.
+        fpu: u64 = 4, 0..=MAX_CYCLES;
+        /// Special-function (div/sqrt/exp) latency.
+        special: u64 = 8, 0..=MAX_CYCLES;
+        /// Control (select/compare/bitwise) latency.
+        control: u64 = 1, 0..=MAX_CYCLES;
+        /// Split/join pass-through latency.
+        sju: u64 = 1, 0..=MAX_CYCLES;
+        /// Elevator re-tagging latency.
+        elevator: u64 = 1, 0..=MAX_CYCLES;
+        /// Load/store issue latency (memory latency comes from the hierarchy).
+        ldst_issue: u64 = 1, 0..=MAX_CYCLES;
+    }
+    /// Fermi-SM baseline parameters (§5.1: "the amount of logic found in a
+    /// dMT-CGRA core is approximately the same as in an Nvidia SM").
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    gpu: GpuConfig {
+        /// SIMT width: lanes issued per cycle.
+        warp_width: u32 = 32, 1..=1024;
+        /// Maximum resident warps per SM (Fermi: 48).
+        max_warps: u32 = 48, 1..=1024;
+        /// Instruction issue latency floor (cycles between dependent issues).
+        issue_latency: u64 = 1, 0..=MAX_CYCLES;
+        /// ALU instruction latency.
+        alu_latency: u64 = 4, 0..=MAX_CYCLES;
+        /// FPU instruction latency.
+        fpu_latency: u64 = 4, 0..=MAX_CYCLES;
+        /// Special-function instruction latency.
+        sfu_latency: u64 = 16, 0..=MAX_CYCLES;
+        /// Number of special-function lanes (Fermi: 4 SFUs per SM); a warp's
+        /// SFU instruction occupies `warp_width / sfu_lanes` issue slots.
+        sfu_lanes: u32 = 4, 1..=1024;
+    }
+    /// Clock frequencies, used for leakage-energy accounting. Table 2's
+    /// interconnect (1.4 GHz), L2 (0.7 GHz) and DRAM (0.924 GHz) clocks are
+    /// not leaves: every latency is stated in core cycles, so only
+    /// [`SystemConfig::to_table`] prints them.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    clocks: ClockConfig {
+        /// Core and fabric clock, GHz.
+        core_ghz: f64 = 1.4, 0.1..=10.0;
+    }
+}
+
+impl GridConfig {
+    /// Units available in a class pool.
+    #[must_use]
+    pub fn capacity(&self, class: UnitClass) -> u32 {
+        match class {
+            UnitClass::Alu => self.alus,
+            UnitClass::Fpu => self.fpus,
+            UnitClass::Special => self.specials,
+            UnitClass::LoadStore => self.ldsts,
+            UnitClass::SplitJoin => self.sjus,
+            UnitClass::Control => self.controls,
+        }
+    }
+
+    /// Total number of functional units in the grid.
+    #[must_use]
+    pub fn total_units(&self) -> u32 {
+        UnitClass::ALL.iter().map(|&c| self.capacity(c)).sum()
+    }
+}
+
+impl CacheConfig {
+    /// Number of sets; capacity / (line × ways).
+    #[must_use]
+    pub fn sets(&self) -> u64 {
+        self.size_bytes / (self.line_bytes * u64::from(self.ways))
+    }
+}
+
+/// Write policy of a cache level (§5.1: dMT-CGRA uses write-back +
+/// write-allocate L1; Fermi uses write-through + write-no-allocate).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WritePolicy {
+    /// Write-back, write-allocate.
+    WriteBackAllocate,
+    /// Write-through, write-no-allocate.
+    WriteThroughNoAllocate,
+}
+
+/// The complete memory-system configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemConfig {
+    /// L1 data cache (64 KB, 32 banks, 128 B lines, 4-way).
+    pub l1: CacheConfig,
+    /// L2 cache (768 KB, 6 banks, 128 B lines, 16-way).
+    pub l2: CacheConfig,
+    /// DRAM.
+    pub dram: DramConfig,
+    /// Shared-memory scratchpad.
+    pub scratchpad: ScratchpadConfig,
+    /// Live Value Cache.
+    pub lvc: LvcConfig,
 }
 
 impl SystemConfig {
-    /// Visits every scalar field as a `(dotted.path, value)` pair.
-    ///
-    /// The visit **exhaustively destructures** every sub-struct, so adding
-    /// a configuration field without extending this function is a compile
-    /// error — a config hash built on top of it can never silently ignore
-    /// a new knob. Visit order is unspecified; consumers that need
-    /// order-independence must sort by name (see `dmt-runner`'s stable
-    /// hasher).
-    pub fn visit_fields(&self, visit: &mut impl FnMut(&'static str, CfgValue)) {
-        let SystemConfig {
-            grid,
-            fabric,
-            latencies,
-            mem,
-            gpu,
-            clocks,
-        } = self;
-        let GridConfig {
-            alus,
-            fpus,
-            specials,
-            ldsts,
-            sjus,
-            controls,
-        } = *grid;
-        visit("grid.alus", CfgValue::U64(alus.into()));
-        visit("grid.fpus", CfgValue::U64(fpus.into()));
-        visit("grid.specials", CfgValue::U64(specials.into()));
-        visit("grid.ldsts", CfgValue::U64(ldsts.into()));
-        visit("grid.sjus", CfgValue::U64(sjus.into()));
-        visit("grid.controls", CfgValue::U64(controls.into()));
-
-        let FabricConfig {
-            token_buffer_entries,
-            ldst_queue_entries,
-            inflight_threads,
-            noc_hop_latency,
-            threads_injected_per_cycle,
-            grid_width,
-            reconfiguration_cycles,
-        } = *fabric;
-        visit(
-            "fabric.token_buffer_entries",
-            CfgValue::U64(token_buffer_entries.into()),
-        );
-        visit(
-            "fabric.ldst_queue_entries",
-            CfgValue::U64(ldst_queue_entries.into()),
-        );
-        visit(
-            "fabric.inflight_threads",
-            CfgValue::U64(inflight_threads.into()),
-        );
-        visit("fabric.noc_hop_latency", CfgValue::U64(noc_hop_latency));
-        visit(
-            "fabric.threads_injected_per_cycle",
-            CfgValue::U64(threads_injected_per_cycle.into()),
-        );
-        visit("fabric.grid_width", CfgValue::U64(grid_width.into()));
-        visit(
-            "fabric.reconfiguration_cycles",
-            CfgValue::U64(reconfiguration_cycles),
-        );
-
-        let UnitLatencies {
-            alu,
-            fpu,
-            special,
-            control,
-            sju,
-            elevator,
-            ldst_issue,
-        } = *latencies;
-        visit("latencies.alu", CfgValue::U64(alu));
-        visit("latencies.fpu", CfgValue::U64(fpu));
-        visit("latencies.special", CfgValue::U64(special));
-        visit("latencies.control", CfgValue::U64(control));
-        visit("latencies.sju", CfgValue::U64(sju));
-        visit("latencies.elevator", CfgValue::U64(elevator));
-        visit("latencies.ldst_issue", CfgValue::U64(ldst_issue));
-
-        let MemConfig {
-            l1,
-            l2,
-            dram,
-            scratchpad,
-            lvc,
-        } = *mem;
-        // Each cache level carries its own full name table (field names
-        // must be 'static, so no runtime concatenation); a new level
-        // cannot reuse another's names by accident.
-        const L1_NAMES: [&str; 7] = [
-            "mem.l1.size_bytes",
-            "mem.l1.line_bytes",
-            "mem.l1.ways",
-            "mem.l1.banks",
-            "mem.l1.hit_latency",
-            "mem.l1.mshrs",
-            "mem.l1.write_policy",
-        ];
-        const L2_NAMES: [&str; 7] = [
-            "mem.l2.size_bytes",
-            "mem.l2.line_bytes",
-            "mem.l2.ways",
-            "mem.l2.banks",
-            "mem.l2.hit_latency",
-            "mem.l2.mshrs",
-            "mem.l2.write_policy",
-        ];
-        let cache = |names: [&'static str; 7],
-                     c: CacheConfig,
-                     v: &mut dyn FnMut(&'static str, CfgValue)| {
-            let CacheConfig {
-                size_bytes,
-                line_bytes,
-                ways,
-                banks,
-                hit_latency,
-                mshrs,
-                write_policy,
-            } = c;
-            v(names[0], CfgValue::U64(size_bytes));
-            v(names[1], CfgValue::U64(line_bytes));
-            v(names[2], CfgValue::U64(ways.into()));
-            v(names[3], CfgValue::U64(banks.into()));
-            v(names[4], CfgValue::U64(hit_latency));
-            v(names[5], CfgValue::U64(mshrs.into()));
-            v(names[6], CfgValue::Tag(write_policy.tag()));
-        };
-        cache(L1_NAMES, l1, &mut *visit);
-        cache(L2_NAMES, l2, &mut *visit);
-
-        let DramConfig {
-            channels,
-            banks_per_channel,
-            latency,
-            bank_busy_cycles,
-        } = dram;
-        visit("mem.dram.channels", CfgValue::U64(channels.into()));
-        visit(
-            "mem.dram.banks_per_channel",
-            CfgValue::U64(banks_per_channel.into()),
-        );
-        visit("mem.dram.latency", CfgValue::U64(latency));
-        visit("mem.dram.bank_busy_cycles", CfgValue::U64(bank_busy_cycles));
-
-        let ScratchpadConfig {
-            size_bytes,
-            banks,
-            latency,
-        } = scratchpad;
-        visit("mem.scratchpad.size_bytes", CfgValue::U64(size_bytes));
-        visit("mem.scratchpad.banks", CfgValue::U64(banks.into()));
-        visit("mem.scratchpad.latency", CfgValue::U64(latency));
-
-        let LvcConfig { entries, latency } = lvc;
-        visit("mem.lvc.entries", CfgValue::U64(entries.into()));
-        visit("mem.lvc.latency", CfgValue::U64(latency));
-
-        let GpuConfig {
-            warp_width,
-            max_warps,
-            issue_latency,
-            alu_latency,
-            fpu_latency,
-            sfu_latency,
-            sfu_lanes,
-        } = *gpu;
-        visit("gpu.warp_width", CfgValue::U64(warp_width.into()));
-        visit("gpu.max_warps", CfgValue::U64(max_warps.into()));
-        visit("gpu.issue_latency", CfgValue::U64(issue_latency));
-        visit("gpu.alu_latency", CfgValue::U64(alu_latency));
-        visit("gpu.fpu_latency", CfgValue::U64(fpu_latency));
-        visit("gpu.sfu_latency", CfgValue::U64(sfu_latency));
-        visit("gpu.sfu_lanes", CfgValue::U64(sfu_lanes.into()));
-
-        let ClockConfig {
-            core_ghz,
-            interconnect_ghz,
-            l2_ghz,
-            dram_ghz,
-        } = *clocks;
-        visit("clocks.core_ghz", CfgValue::F64(core_ghz));
-        visit("clocks.interconnect_ghz", CfgValue::F64(interconnect_ghz));
-        visit("clocks.l2_ghz", CfgValue::F64(l2_ghz));
-        visit("clocks.dram_ghz", CfgValue::F64(dram_ghz));
-    }
-
-    /// Sets one scalar leaf by its [`SystemConfig::visit_fields`] dotted
-    /// name — the write half of the field reflection that `dmt-serve`
-    /// uses to apply per-request configuration overrides.
-    ///
-    /// The name table below mirrors `visit_fields` arm for arm; the
-    /// round-trip test walks every visited leaf through this setter, so
-    /// a field added to `visit_fields` (itself a compile error to skip)
-    /// without a matching arm here fails the suite.
+    /// Checks every leaf against the domain its row in the leaf list
+    /// declares, in list order.
     ///
     /// # Errors
     ///
-    /// Returns a message for an unknown field name, a type mismatch, an
-    /// integer that overflows the field's width, or an unknown enum tag.
-    pub fn set_field(&mut self, name: &str, value: CfgInput) -> Result<(), String> {
-        fn u64_of(name: &str, v: CfgInput) -> Result<u64, String> {
-            match v {
-                CfgInput::U64(n) => Ok(n),
-                other => Err(format!("{name} wants an unsigned integer, got {other:?}")),
+    /// [`Error::Config`] naming the first leaf outside its domain and the
+    /// bound it breaks, e.g. `mem.l1.mshrs must be at least 1`.
+    pub fn validate(&self) -> Result<()> {
+        let mut verdict = Ok(());
+        self.visit_fields(&mut |leaf| {
+            if verdict.is_ok() {
+                verdict = leaf.check();
             }
-        }
-        fn u32_of(name: &str, v: CfgInput) -> Result<u32, String> {
-            let n = u64_of(name, v)?;
-            u32::try_from(n).map_err(|_| format!("{name}: {n} does not fit in 32 bits"))
-        }
-        fn f64_of(name: &str, v: CfgInput) -> Result<f64, String> {
-            match v {
-                CfgInput::F64(x) => Ok(x),
-                // Whole numbers arrive as integers from JSON ("2" not
-                // "2.0"); widen rather than bounce the request.
-                #[allow(clippy::cast_precision_loss)]
-                CfgInput::U64(n) => Ok(n as f64),
-                other @ CfgInput::Tag(_) => Err(format!("{name} wants a number, got {other:?}")),
-            }
-        }
-        fn policy_of(name: &str, v: CfgInput) -> Result<WritePolicy, String> {
-            match v {
-                CfgInput::Tag(t) => WritePolicy::from_tag(t).ok_or_else(|| {
-                    format!(
-                        "{name}: unknown write policy {t:?} \
-                         (write_back_allocate | write_through_no_allocate)"
-                    )
-                }),
-                other => Err(format!("{name} wants a policy tag, got {other:?}")),
-            }
-        }
-        match name {
-            "grid.alus" => self.grid.alus = u32_of(name, value)?,
-            "grid.fpus" => self.grid.fpus = u32_of(name, value)?,
-            "grid.specials" => self.grid.specials = u32_of(name, value)?,
-            "grid.ldsts" => self.grid.ldsts = u32_of(name, value)?,
-            "grid.sjus" => self.grid.sjus = u32_of(name, value)?,
-            "grid.controls" => self.grid.controls = u32_of(name, value)?,
-            "fabric.token_buffer_entries" => {
-                self.fabric.token_buffer_entries = u32_of(name, value)?;
-            }
-            "fabric.ldst_queue_entries" => {
-                self.fabric.ldst_queue_entries = u32_of(name, value)?;
-            }
-            "fabric.inflight_threads" => self.fabric.inflight_threads = u32_of(name, value)?,
-            "fabric.noc_hop_latency" => self.fabric.noc_hop_latency = u64_of(name, value)?,
-            "fabric.threads_injected_per_cycle" => {
-                self.fabric.threads_injected_per_cycle = u32_of(name, value)?;
-            }
-            "fabric.grid_width" => self.fabric.grid_width = u32_of(name, value)?,
-            "fabric.reconfiguration_cycles" => {
-                self.fabric.reconfiguration_cycles = u64_of(name, value)?;
-            }
-            "latencies.alu" => self.latencies.alu = u64_of(name, value)?,
-            "latencies.fpu" => self.latencies.fpu = u64_of(name, value)?,
-            "latencies.special" => self.latencies.special = u64_of(name, value)?,
-            "latencies.control" => self.latencies.control = u64_of(name, value)?,
-            "latencies.sju" => self.latencies.sju = u64_of(name, value)?,
-            "latencies.elevator" => self.latencies.elevator = u64_of(name, value)?,
-            "latencies.ldst_issue" => self.latencies.ldst_issue = u64_of(name, value)?,
-            "mem.l1.size_bytes" => self.mem.l1.size_bytes = u64_of(name, value)?,
-            "mem.l1.line_bytes" => self.mem.l1.line_bytes = u64_of(name, value)?,
-            "mem.l1.ways" => self.mem.l1.ways = u32_of(name, value)?,
-            "mem.l1.banks" => self.mem.l1.banks = u32_of(name, value)?,
-            "mem.l1.hit_latency" => self.mem.l1.hit_latency = u64_of(name, value)?,
-            "mem.l1.mshrs" => self.mem.l1.mshrs = u32_of(name, value)?,
-            "mem.l1.write_policy" => self.mem.l1.write_policy = policy_of(name, value)?,
-            "mem.l2.size_bytes" => self.mem.l2.size_bytes = u64_of(name, value)?,
-            "mem.l2.line_bytes" => self.mem.l2.line_bytes = u64_of(name, value)?,
-            "mem.l2.ways" => self.mem.l2.ways = u32_of(name, value)?,
-            "mem.l2.banks" => self.mem.l2.banks = u32_of(name, value)?,
-            "mem.l2.hit_latency" => self.mem.l2.hit_latency = u64_of(name, value)?,
-            "mem.l2.mshrs" => self.mem.l2.mshrs = u32_of(name, value)?,
-            "mem.l2.write_policy" => self.mem.l2.write_policy = policy_of(name, value)?,
-            "mem.dram.channels" => self.mem.dram.channels = u32_of(name, value)?,
-            "mem.dram.banks_per_channel" => {
-                self.mem.dram.banks_per_channel = u32_of(name, value)?;
-            }
-            "mem.dram.latency" => self.mem.dram.latency = u64_of(name, value)?,
-            "mem.dram.bank_busy_cycles" => {
-                self.mem.dram.bank_busy_cycles = u64_of(name, value)?;
-            }
-            "mem.scratchpad.size_bytes" => {
-                self.mem.scratchpad.size_bytes = u64_of(name, value)?;
-            }
-            "mem.scratchpad.banks" => self.mem.scratchpad.banks = u32_of(name, value)?,
-            "mem.scratchpad.latency" => self.mem.scratchpad.latency = u64_of(name, value)?,
-            "mem.lvc.entries" => self.mem.lvc.entries = u32_of(name, value)?,
-            "mem.lvc.latency" => self.mem.lvc.latency = u64_of(name, value)?,
-            "gpu.warp_width" => self.gpu.warp_width = u32_of(name, value)?,
-            "gpu.max_warps" => self.gpu.max_warps = u32_of(name, value)?,
-            "gpu.issue_latency" => self.gpu.issue_latency = u64_of(name, value)?,
-            "gpu.alu_latency" => self.gpu.alu_latency = u64_of(name, value)?,
-            "gpu.fpu_latency" => self.gpu.fpu_latency = u64_of(name, value)?,
-            "gpu.sfu_latency" => self.gpu.sfu_latency = u64_of(name, value)?,
-            "gpu.sfu_lanes" => self.gpu.sfu_lanes = u32_of(name, value)?,
-            "clocks.core_ghz" => self.clocks.core_ghz = f64_of(name, value)?,
-            "clocks.interconnect_ghz" => self.clocks.interconnect_ghz = f64_of(name, value)?,
-            "clocks.l2_ghz" => self.clocks.l2_ghz = f64_of(name, value)?,
-            "clocks.dram_ghz" => self.clocks.dram_ghz = f64_of(name, value)?,
-            _ => return Err(format!("unknown config field {name:?}")),
-        }
-        Ok(())
+        });
+        verdict.map_err(Error::Config)
     }
 
     /// Renders the configuration as the paper's Table 2.
@@ -817,11 +570,8 @@ impl SystemConfig {
             g.sjus, g.controls
         ));
         s.push_str(&format!(
-            "Frequency [GHz]      | core {}, Interconnect {}, L2 {}, DRAM {}\n",
-            self.clocks.core_ghz,
-            self.clocks.interconnect_ghz,
-            self.clocks.l2_ghz,
-            self.clocks.dram_ghz
+            "Frequency [GHz]      | core {}, Interconnect 1.4, L2 0.7, DRAM 0.924\n",
+            self.clocks.core_ghz
         ));
         s.push_str(&format!(
             "L1                   | {}KB, {} banks, {}B/line, {}-way\n",
@@ -889,10 +639,10 @@ mod tests {
     #[test]
     fn visit_fields_covers_every_leaf_with_unique_names() {
         let mut fields = Vec::new();
-        SystemConfig::default().visit_fields(&mut |name, v| fields.push((name, v)));
-        // 6 grid + 7 fabric + 7 latencies + 14 cache + 4 dram + 3 scratchpad
-        // + 2 lvc + 7 gpu + 4 clocks = 54 leaves.
-        assert_eq!(fields.len(), 54);
+        SystemConfig::default().visit_fields(&mut |l| fields.push((l.name, l.value)));
+        // 6 grid + 7 fabric + 7 latencies + 12 cache + 4 dram + 3 scratchpad
+        // + 2 lvc + 7 gpu + 1 clock = 49 leaves.
+        assert_eq!(fields.len(), 49);
         let mut names: Vec<&str> = fields.iter().map(|(n, _)| *n).collect();
         names.sort_unstable();
         names.dedup();
@@ -903,35 +653,28 @@ mod tests {
         assert!(fields
             .iter()
             .any(|&(n, v)| n == "clocks.core_ghz" && v == CfgValue::F64(1.4)));
-        assert!(
-            fields
-                .iter()
-                .any(|&(n, v)| n == "mem.l1.write_policy"
-                    && v == CfgValue::Tag("write_back_allocate"))
-        );
     }
 
     #[test]
     fn set_field_round_trips_every_visited_leaf() {
         let base = SystemConfig::default();
         let mut fields = Vec::new();
-        base.visit_fields(&mut |n, v| fields.push((n, v)));
+        base.visit_fields(&mut |l| fields.push((l.name, l.value)));
         // Nudge every leaf through its visited name...
         let nudged = |v: &CfgValue| match *v {
             CfgValue::U64(n) => CfgValue::U64(n + 1),
             CfgValue::F64(x) => CfgValue::F64(x * 2.0),
-            CfgValue::Tag(_) => CfgValue::Tag("write_through_no_allocate"),
         };
         let mut cfg = base;
         for (name, value) in &fields {
-            cfg.set_field(name, nudged(value).into()).unwrap();
+            cfg.set_field(name, nudged(value)).unwrap();
         }
         // ...and confirm the visit reads every change back, proving the
         // setter's name table covers visit_fields arm for arm and never
         // writes the wrong leaf.
         let mut after = std::collections::BTreeMap::new();
-        cfg.visit_fields(&mut |n, v| {
-            after.insert(n, v);
+        cfg.visit_fields(&mut |l| {
+            after.insert(l.name, l.value);
         });
         assert_eq!(after.len(), fields.len());
         for (name, value) in &fields {
@@ -943,38 +686,54 @@ mod tests {
     fn set_field_rejects_bad_names_types_and_ranges() {
         let mut cfg = SystemConfig::default();
         assert!(cfg
-            .set_field("grid.alus_typo", CfgInput::U64(1))
+            .set_field("grid.alus_typo", CfgValue::U64(1))
             .unwrap_err()
             .contains("unknown config field"));
-        // u32 fields must not silently truncate.
-        assert!(cfg
-            .set_field("grid.alus", CfgInput::U64(1 << 40))
-            .unwrap_err()
-            .contains("32 bits"));
-        assert!(cfg.set_field("grid.alus", CfgInput::F64(3.5)).is_err());
-        assert!(cfg
-            .set_field("mem.l1.write_policy", CfgInput::Tag("nope"))
-            .unwrap_err()
-            .contains("unknown write policy"));
-        assert!(cfg
-            .set_field("mem.l1.write_policy", CfgInput::U64(0))
-            .is_err());
+        // u32 fields must not silently truncate, nor take a float.
+        assert_eq!(
+            cfg.set_field("grid.alus", CfgValue::U64(1 << 40)),
+            Err("grid.alus cannot hold 1099511627776".to_owned())
+        );
+        assert_eq!(
+            cfg.set_field("grid.alus", CfgValue::F64(3.5)),
+            Err("grid.alus cannot hold 3.5".to_owned())
+        );
         // Whole numbers widen into float fields (JSON integers).
-        cfg.set_field("clocks.core_ghz", CfgInput::U64(2)).unwrap();
+        cfg.set_field("clocks.core_ghz", CfgValue::U64(2)).unwrap();
         assert_eq!(cfg.clocks.core_ghz, 2.0);
         // The config is otherwise untouched by the failed writes.
         assert_eq!(cfg.grid, GridConfig::default());
     }
 
     #[test]
-    fn write_policy_tags_round_trip() {
-        for p in [
-            WritePolicy::WriteBackAllocate,
-            WritePolicy::WriteThroughNoAllocate,
-        ] {
-            assert_eq!(WritePolicy::from_tag(p.tag()), Some(p));
-        }
-        assert_eq!(WritePolicy::from_tag("x"), None);
+    fn validate_names_the_leaf_and_the_bound_it_breaks() {
+        let base = SystemConfig::default();
+        assert_eq!(base.validate(), Ok(()));
+        let refused = |name: &str, value: CfgValue| {
+            let mut cfg = base;
+            cfg.set_field(name, value).unwrap();
+            match cfg.validate() {
+                Err(Error::Config(m)) => m,
+                other => panic!("{name} = {value}: {other:?}"),
+            }
+        };
+        assert_eq!(
+            refused("mem.l1.mshrs", CfgValue::U64(0)),
+            "mem.l1.mshrs must be at least 1"
+        );
+        assert_eq!(
+            refused("mem.l1.banks", CfgValue::U64(4_000_000_000)),
+            "mem.l1.banks must be at most 4096"
+        );
+        // The cross-leaf rule: at least one set of line_bytes × ways.
+        assert_eq!(
+            refused("mem.l2.size_bytes", CfgValue::U64(1024)),
+            "mem.l2.size_bytes must be at least 2048"
+        );
+        assert_eq!(
+            refused("clocks.core_ghz", CfgValue::F64(f64::NAN)),
+            "clocks.core_ghz must be at least 0.1"
+        );
     }
 
     #[test]

@@ -218,7 +218,9 @@ impl Machine {
     /// # Errors
     ///
     /// As [`Machine::run`], plus [`Error::TimedOut`] /
-    /// [`Error::Cancelled`] when a limit trips.
+    /// [`Error::Cancelled`] when a limit trips, and [`Error::Config`]
+    /// for a configuration [`SystemConfig::validate`] refuses (checked
+    /// before the compile step).
     pub fn run_limited(
         &self,
         kernel: &Kernel,
@@ -226,6 +228,7 @@ impl Machine {
         obs: &mut Obs,
         limits: &RunLimits<'_>,
     ) -> Result<RunReport> {
+        self.cfg.validate()?;
         let (memory, stats) = match self.arch {
             Arch::FermiSm => {
                 let run = GpuMachine::new(self.cfg).run_limited(kernel, input, obs, limits)?;

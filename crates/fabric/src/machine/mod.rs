@@ -227,9 +227,10 @@ impl FabricMachine {
     ///
     /// As [`FabricMachine::run`], plus [`Error::TimedOut`] /
     /// [`Error::Cancelled`] when a limit trips, and [`Error::Config`]
-    /// for a zero injection width (`program.replication` or
-    /// `fabric.threads_injected_per_cycle`) — a launch that could never
-    /// admit a thread is refused here instead of spinning the cycle loop.
+    /// for a zero `program.replication` or a configuration
+    /// [`SystemConfig::validate`] refuses — a launch that could never
+    /// admit a thread, or would size an allocation past its bound, is
+    /// refused here instead of spinning the cycle loop or aborting.
     pub fn run_limited(
         &self,
         program: &FabricProgram,
@@ -243,11 +244,7 @@ impl FabricMachine {
                 program.name
             )));
         }
-        if self.cfg.fabric.threads_injected_per_cycle == 0 {
-            return Err(Error::Config(
-                "fabric.threads_injected_per_cycle must be at least 1".to_owned(),
-            ));
-        }
+        self.cfg.validate()?;
         let batch_delivery = program.replication >= BATCH_MIN_REPLICATION;
         self.run_with_delivery(program, input, obs, limits, batch_delivery)
     }

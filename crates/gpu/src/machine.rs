@@ -95,7 +95,8 @@ impl GpuMachine {
     /// # Errors
     ///
     /// As [`GpuMachine::run`], plus [`Error::TimedOut`] /
-    /// [`Error::Cancelled`] when a limit trips.
+    /// [`Error::Cancelled`] when a limit trips, and [`Error::Config`]
+    /// for a configuration [`SystemConfig::validate`] refuses.
     pub fn run_limited(
         &self,
         kernel: &Kernel,
@@ -103,6 +104,7 @@ impl GpuMachine {
         obs: &mut Obs,
         limits: &RunLimits<'_>,
     ) -> Result<GpuRunResult> {
+        self.cfg.validate()?;
         let program = lower(kernel)?;
         if input.params.len() != kernel.param_names().len() {
             return Err(Error::Runtime(format!(

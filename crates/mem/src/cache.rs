@@ -52,6 +52,7 @@ pub enum AccessOutcome {
 #[derive(Debug, Clone)]
 pub struct CacheLevel {
     cfg: CacheConfig,
+    policy: WritePolicy,
     /// All ways of all sets, pre-sized flat: set `s` occupies
     /// `[s * ways, (s + 1) * ways)`. One contiguous allocation instead of
     /// a `Vec` per set keeps the per-access lookup on one cache line.
@@ -74,11 +75,14 @@ pub struct CacheLevel {
 }
 
 impl CacheLevel {
-    /// Creates a cache level with the given geometry.
+    /// Creates a cache level with the given geometry and write policy.
+    /// The policy is the machine's (§5.1), not a configuration leaf; see
+    /// [`crate::MemSystem::new`].
     #[must_use]
-    pub fn new(cfg: CacheConfig) -> CacheLevel {
+    pub fn new(cfg: CacheConfig, policy: WritePolicy) -> CacheLevel {
         let sets = cfg.sets() as usize;
         CacheLevel {
+            policy,
             ways: vec![Way::default(); sets * cfg.ways as usize].into_boxed_slice(),
             bank_busy: vec![0; cfg.banks as usize].into_boxed_slice(),
             mshrs: Vec::with_capacity(cfg.mshrs as usize),
@@ -242,7 +246,7 @@ impl CacheLevel {
     pub fn store(&mut self, addr: Addr, now: u64, next: &mut dyn Backing) -> AccessOutcome {
         let line = self.line_of(addr);
         self.purge_mshrs(now);
-        match self.cfg.write_policy {
+        match self.policy {
             WritePolicy::WriteBackAllocate => {
                 if let Some(fill) = self.mshr_fill(line) {
                     self.hits += 1;
@@ -317,15 +321,15 @@ mod tests {
     }
 
     fn small_cache(policy: WritePolicy) -> CacheLevel {
-        CacheLevel::new(CacheConfig {
+        let cfg = CacheConfig {
             size_bytes: 1024, // 2 sets × 4 ways × 128B
             line_bytes: 128,
             ways: 4,
             banks: 2,
             hit_latency: 4,
             mshrs: 2,
-            write_policy: policy,
-        })
+        };
+        CacheLevel::new(cfg, policy)
     }
 
     fn backing() -> FixedBacking {

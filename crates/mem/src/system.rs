@@ -50,18 +50,14 @@ impl Backing for L2Dram<'_> {
 }
 
 impl MemSystem {
-    /// Builds the hierarchy; `l1_policy` selects the §5.1 per-machine L1
-    /// write policy (the L2 is always write-back/write-allocate, as on
-    /// Fermi).
+    /// Builds the hierarchy. The write policies belong to the machine,
+    /// not to `cfg`: `l1_policy` is the §5.1 per-machine L1 policy, and
+    /// the L2 is always write-back/write-allocate, as on Fermi.
     #[must_use]
     pub fn new(cfg: &MemConfig, l1_policy: WritePolicy) -> MemSystem {
-        let mut l1_cfg = cfg.l1;
-        l1_cfg.write_policy = l1_policy;
-        let mut l2_cfg = cfg.l2;
-        l2_cfg.write_policy = WritePolicy::WriteBackAllocate;
         MemSystem {
-            l1: CacheLevel::new(l1_cfg),
-            l2: CacheLevel::new(l2_cfg),
+            l1: CacheLevel::new(cfg.l1, l1_policy),
+            l2: CacheLevel::new(cfg.l2, WritePolicy::WriteBackAllocate),
             dram: Dram::new(cfg.dram, cfg.l2.line_bytes),
         }
     }

@@ -66,10 +66,9 @@ fn lru_evicts_the_least_recent_way() {
         banks: 1,
         hit_latency: 1,
         mshrs: 8,
-        write_policy: WritePolicy::WriteBackAllocate,
     };
-    let mut c = CacheLevel::new(cfg);
-    let mut dram = Dram::new(DramConfig::default(), 64);
+    let mut c = CacheLevel::new(cfg, WritePolicy::WriteBackAllocate);
+    let mut dram = Dram::new(MemConfig::default().dram, 64);
     let a = Addr(0); // set 0
     let b = Addr(128); // set 0
     let evictor = Addr(256); // set 0

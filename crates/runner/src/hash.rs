@@ -109,16 +109,15 @@ impl StableHasher {
 
 /// The stable hash of a full [`SystemConfig`].
 ///
-/// Built on [`SystemConfig::visit_fields`], which exhaustively
-/// destructures the config — a new configuration field cannot be added
-/// without it entering this hash (the visitor would fail to compile).
+/// Built on [`SystemConfig::visit_fields`], which walks the config's
+/// one leaf list — a new configuration field cannot be added without it
+/// entering this hash (a field with no row fails to compile).
 #[must_use]
 pub fn config_hash(cfg: &SystemConfig) -> u64 {
     let mut h = StableHasher::new();
-    cfg.visit_fields(&mut |name, value| match value {
-        CfgValue::U64(v) => h.field_u64(name, v),
-        CfgValue::F64(v) => h.field_f64(name, v),
-        CfgValue::Tag(t) => h.field_str(name, t),
+    cfg.visit_fields(&mut |leaf| match leaf.value {
+        CfgValue::U64(v) => h.field_u64(leaf.name, v),
+        CfgValue::F64(v) => h.field_f64(leaf.name, v),
     });
     h.finish()
 }
@@ -179,8 +178,8 @@ mod tests {
         clk.clocks.core_ghz = 2.0;
         assert_ne!(base, config_hash(&clk));
 
-        let mut wp = SystemConfig::default();
-        wp.mem.l1.write_policy = dmt_common::config::WritePolicy::WriteThroughNoAllocate;
-        assert_ne!(base, config_hash(&wp));
+        let mut l1 = SystemConfig::default();
+        l1.mem.l1.hit_latency += 1;
+        assert_ne!(base, config_hash(&l1));
     }
 }

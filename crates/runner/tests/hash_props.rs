@@ -56,7 +56,7 @@ proptest! {
     }
 
     /// The full SystemConfig hash is sensitive to representative knobs of
-    /// every sub-struct (the exhaustive-destructuring visitor guarantees
+    /// every sub-struct (the leaf list behind the visitor guarantees
     /// coverage of the rest at compile time).
     #[test]
     fn config_hash_tracks_real_config_knobs(

@@ -7,10 +7,13 @@
 //! - `submit` — admit a job grid: `{"verb":"submit","jobs":[...]}` (or a
 //!   single `"job":{...}`). Each job object names a `"bench"` and an
 //!   `"arch"` (key or paper name), with optional `"seed"` (default 42,
-//!   the suite seed) and an optional `"config"` object of dotted-path
-//!   overrides onto [`SystemConfig::default`] — the same 54 leaves
+//!   the suite seed) and an optional `"config"` object of numeric
+//!   dotted-path overrides onto [`SystemConfig::default`] — the leaves of
+//!   the leaf list in `dmt_common::config`, which
 //!   [`SystemConfig::visit_fields`] walks, e.g.
-//!   `{"fabric.inflight_threads":512}`. An optional per-job
+//!   `{"fabric.inflight_threads":512}`. A value outside its leaf's domain
+//!   is admitted and the job ends `infeasible` (see
+//!   [`SystemConfig::validate`]). An optional per-job
 //!   `"deadline_cycles"` caps the simulated-cycle budget (not part of
 //!   the job hash; see [`SubmitJob`]).
 //! - `status` — `{"verb":"status","job_hash":"<16 hex>"}`.
@@ -24,7 +27,7 @@
 //! rendered as 16 lowercase hex digits (the cache filename stem); an
 //! optional `0x` prefix is accepted on input.
 
-use dmt_common::config::CfgInput;
+use dmt_common::config::CfgValue;
 use dmt_core::{Arch, SystemConfig};
 use dmt_runner::artifact::Json;
 use dmt_runner::JobSpec;
@@ -139,10 +142,9 @@ fn parse_job(job: &Json) -> Result<SubmitJob, String> {
         Some(Json::Obj(fields)) => {
             for (name, value) in fields {
                 let input = match value {
-                    Json::U64(v) => CfgInput::U64(*v),
-                    Json::F64(v) => CfgInput::F64(*v),
-                    Json::Str(v) => CfgInput::Tag(v),
-                    _ => return Err(format!("config field {name:?} must be a number or string")),
+                    Json::U64(v) => CfgValue::U64(*v),
+                    Json::F64(v) => CfgValue::F64(*v),
+                    _ => return Err(format!("config field {name:?} must be a number")),
                 };
                 cfg.set_field(name, input)?;
             }
@@ -288,6 +290,10 @@ mod tests {
             (
                 r#"{"verb":"submit","jobs":[{"bench":"scan","arch":"dmt_cgra","config":{"no.such":1}}]}"#,
                 "unknown config field",
+            ),
+            (
+                r#"{"verb":"submit","jobs":[{"bench":"scan","arch":"dmt_cgra","config":{"mem.l1.ways":"4"}}]}"#,
+                "\"mem.l1.ways\" must be a number",
             ),
         ] {
             let err = parse_request(line).expect_err(line);

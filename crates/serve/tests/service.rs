@@ -689,23 +689,35 @@ fn zero_injection_width_override_ends_the_job_instead_of_a_worker() {
     let dir = scratch("zero_width");
     let (addr, handle) = boot(&dir, ServeOptions::default(), bench_exec());
     let mut c = Client::connect(addr);
-    // No deadline: before the engine refused this configuration, the job
-    // spun its worker's cycle loop for ever and `drain` never returned.
-    let resp = c.req(
-        r#"{"verb":"submit","jobs":[{"bench":"scan","arch":"dmt_cgra",
-            "config":{"fabric.threads_injected_per_cycle":0}}]}"#
-            .replace('\n', " ")
-            .as_str(),
-    );
-    assert!(ok(&resp), "{resp:?}");
-    let hs = hashes(&resp);
-    c.wait_done(&hs[0]);
-    let result = c.req_raw(&format!(r#"{{"verb":"result","job_hash":"{}"}}"#, hs[0]));
-    assert!(
-        result.contains(r#""status":"infeasible""#)
-            && result.contains("fabric.threads_injected_per_cycle must be at least 1"),
-        "{result}"
-    );
+    // No deadline. Before the engines validated their configuration, the
+    // first two overrides spun a worker's cycle loop for ever (no thread
+    // is ever injected; no miss ever gets an MSHR) and the third aborted
+    // the process allocating 32 GB of bank state.
+    for (leaf, value, refusal) in [
+        ("fabric.threads_injected_per_cycle", 0, "must be at least 1"),
+        ("mem.l1.mshrs", 0, "must be at least 1"),
+        ("mem.l1.banks", 4_000_000_000u64, "must be at most 4096"),
+    ] {
+        let resp = c.req(&format!(
+            r#"{{"verb":"submit","jobs":[{{"bench":"scan","arch":"dmt_cgra","config":{{"{leaf}":{value}}}}}]}}"#
+        ));
+        assert!(ok(&resp), "{leaf}: {resp:?}");
+        let hs = hashes(&resp);
+        c.wait_done(&hs[0]);
+        let result = c.req_raw(&format!(r#"{{"verb":"result","job_hash":"{}"}}"#, hs[0]));
+        assert!(
+            result.contains(r#""status":"infeasible""#)
+                && result.contains(&format!("{leaf} {refusal}")),
+            "{result}"
+        );
+        // Refused up front, not counted as a transient failure and retried.
+        let status = c.req(&format!(r#"{{"verb":"status","job_hash":"{}"}}"#, hs[0]));
+        assert_eq!(
+            status.get("attempts").and_then(Json::as_u64),
+            Some(1),
+            "{leaf}: {status:?}"
+        );
+    }
     c.req(r#"{"verb":"drain"}"#);
     // Watchdog: a parked worker would make this join hang, not fail.
     let (tx, rx) = std::sync::mpsc::channel();
@@ -716,7 +728,7 @@ fn zero_injection_width_override_ends_the_job_instead_of_a_worker() {
     assert_eq!(
         summary,
         ServeSummary {
-            done: 1,
+            done: 3,
             failed: 0,
             timed_out: 0
         }
